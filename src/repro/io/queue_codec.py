@@ -68,6 +68,7 @@ def config_to_dict(config: OptimizationConfig) -> dict[str, Any]:
         "optimize_bus": config.optimize_bus,
         "bus_scale_factors": list(config.bus_scale_factors),
         "cache_size": config.cache_size,
+        "shortlist": config.shortlist,
     }
 
 
@@ -85,6 +86,8 @@ def config_from_dict(data: dict[str, Any]) -> OptimizationConfig:
         optimize_bus=data["optimize_bus"],
         bus_scale_factors=tuple(data["bus_scale_factors"]),
         cache_size=data["cache_size"],
+        # Payloads encoded before the field existed priced all-exact.
+        shortlist=data.get("shortlist"),
     )
 
 

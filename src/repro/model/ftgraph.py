@@ -315,7 +315,7 @@ def ft_graph_with_move(
     ft._out_bus = dict(base._out_bus)
     ft._succ = dict(base._succ)
     ft._pred = dict(base._pred)
-    ft._edges = base._edges  # reconciled below iff the edge set changed
+    ft._edges = base._edges  # rebuilt below iff the replica count changed
 
     for iid in old_ids:
         del ft.instances[iid]
@@ -342,58 +342,62 @@ def ft_graph_with_move(
     ft.group_of[process] = new_group
 
     # Input groups: the moved process keeps its base groups verbatim (its
-    # senders did not change); each successor's group over ``process`` is
-    # re-pointed at the new replica tuple, other groups stay shared.
+    # senders did not change).
     base_inputs = base.inputs.get(old_ids[0], ())
     for iid in new_ids:
         ft.inputs[iid] = base_inputs
     succ_processes = sorted({m.dst for m in graph.out_messages(process)})
     pred_processes = sorted({m.src for m in graph.in_messages(process)})
-    for succ_name in succ_processes:
-        rewired = tuple(
-            InputGroup(message=g.message, sources=new_group)
-            if g.message.src == process
-            else g
-            for g in base.inputs[base.group_of[succ_name][0]]
-        )
-        for iid in ft.group_of[succ_name]:
-            ft.inputs[iid] = rewired
-
-    # Adjacency: rebuild the out-lists of senders into the move cone and the
-    # in-lists of receivers inside it; every other list is shared.  The two
-    # sides stay consistent because every rebuilt edge has either its sender
-    # or both endpoints rebuilt (the application DAG is bipartite around
-    # ``process``: senders are its predecessors, receivers its successors).
     sender_processes = [*pred_processes, process]
-    receiver_processes = [process, *succ_processes]
-    for name in sender_processes:
-        out_groups = [
-            ft.group_of[m.dst] for m in graph.out_messages(name)
-        ]
-        for iid in ft.group_of[name]:
-            seen: set[str] = set()
-            succs: list[str] = []
-            for receivers in out_groups:
-                for dst_iid in receivers:
-                    if dst_iid not in seen:
-                        seen.add(dst_iid)
-                        succs.append(dst_iid)
-            ft._succ[iid] = succs
-    for name in receiver_processes:
-        in_groups = [ft.group_of[m.src] for m in graph.in_messages(name)]
-        for iid in ft.group_of[name]:
-            seen = set()
-            preds: list[str] = []
-            for senders in in_groups:
-                for src_iid in senders:
-                    if src_iid not in seen:
-                        seen.add(src_iid)
-                        preds.append(src_iid)
-            ft._pred[iid] = preds
-    for iid in old_ids[len(new_ids):]:
-        del ft._succ[iid]
-        del ft._pred[iid]
-    if len(new_ids) != len(old_ids):
+    if new_group != old_ids:
+        # The replica count changed.  Each successor's group over
+        # ``process`` is re-pointed at the new replica tuple, other groups
+        # stay shared.  With an unchanged count the instance ids are the
+        # same, so every group and adjacency list equals the base's.
+        for succ_name in succ_processes:
+            rewired = tuple(
+                InputGroup(message=g.message, sources=new_group)
+                if g.message.src == process
+                else g
+                for g in base.inputs[base.group_of[succ_name][0]]
+            )
+            for iid in ft.group_of[succ_name]:
+                ft.inputs[iid] = rewired
+
+        # Adjacency: rebuild the out-lists of senders into the move cone and
+        # the in-lists of receivers inside it; every other list is shared.
+        # The two sides stay consistent because every rebuilt edge has
+        # either its sender or both endpoints rebuilt (the application DAG
+        # is bipartite around ``process``: senders are its predecessors,
+        # receivers its successors).
+        receiver_processes = [process, *succ_processes]
+        for name in sender_processes:
+            out_groups = [
+                ft.group_of[m.dst] for m in graph.out_messages(name)
+            ]
+            for iid in ft.group_of[name]:
+                seen: set[str] = set()
+                succs: list[str] = []
+                for receivers in out_groups:
+                    for dst_iid in receivers:
+                        if dst_iid not in seen:
+                            seen.add(dst_iid)
+                            succs.append(dst_iid)
+                ft._succ[iid] = succs
+        for name in receiver_processes:
+            in_groups = [ft.group_of[m.src] for m in graph.in_messages(name)]
+            for iid in ft.group_of[name]:
+                seen = set()
+                preds: list[str] = []
+                for senders in in_groups:
+                    for src_iid in senders:
+                        if src_iid not in seen:
+                            seen.add(src_iid)
+                            preds.append(src_iid)
+                ft._pred[iid] = preds
+        for iid in old_ids[len(new_ids):]:
+            del ft._succ[iid]
+            del ft._pred[iid]
         ft._edges = {
             (src, dst) for src, succs in ft._succ.items() for dst in succs
         }
@@ -405,13 +409,9 @@ def ft_graph_with_move(
     rebuilt_senders = {
         iid for name in sender_processes for iid in ft.group_of[name]
     } | set(old_ids)
-    ft.bus_messages = {
-        bid: m
-        for bid, m in ft.bus_messages.items()
-        if m.sender not in rebuilt_senders
-    }
     for iid in rebuilt_senders:
-        ft._out_bus.pop(iid, None)
+        for bus_msg in ft._out_bus.pop(iid, ()):
+            del ft.bus_messages[bus_msg.id]
     for name in sender_processes:
         group = ft.group_of[name]
         backed = _guaranteed_backed(ft, group, faults.k)

@@ -10,9 +10,11 @@ is kept as thin shims over it):
 * :meth:`Evaluator.evaluate_many` — the search hot path: a whole
   neighbourhood of single-process moves priced against one shared
   :class:`~repro.schedule.incremental.EvalContext` via delta re-scheduling.
-  Candidates are priced *without sealing a record*
-  (:meth:`~repro.schedule.state.SchedulerState.cost_view`); the caller
-  seals only the candidates it actually follows via :meth:`realize`.
+  A replay only appends to its state's placement log and prices from
+  :meth:`~repro.schedule.state.SchedulerState.cost_view`, which re-derives
+  completions only for processes with a recomputed instance; no record
+  is built.  The caller seals only the candidates it actually follows
+  via :meth:`realize`, which turns the pending log into the record.
 * :meth:`Evaluator.evaluate_delta` — one candidate through the delta
   kernel, for callers that manage their own neighbourhood loop.
 * :meth:`Evaluator.evaluate_full` / :meth:`schedule` — materialized
@@ -35,7 +37,9 @@ cache* — the sum of ``full_evaluations``, ``delta_evaluations`` and
 cache must only ever serve exact costs).  Sealing a record for an
 already-priced design (``realize``, or a view request hitting a
 record-less entry) is materialization, not evaluation: it is counted in
-``record_rebuilds`` instead.
+``record_rebuilds`` instead.  ``delta_copied``/``delta_recomputed``/
+``delta_resumed_rank`` sum the replay work of every delta pricing
+(:class:`~repro.schedule.incremental.DeltaStats`).
 """
 
 from __future__ import annotations
@@ -186,6 +190,10 @@ class Evaluator:
         self.ranked_evaluations = 0
         self.record_rebuilds = 0
         self.cache_hits = 0
+        # Delta replay work, summed over delta pricings (``DeltaStats``).
+        self.delta_copied = 0
+        self.delta_recomputed = 0
+        self.delta_resumed_rank = 0
         self._cache_size = cache_size
         # Entry layout: [Cost, ScheduleRecord | None] — a mutable pair so
         # realize() can fill the record into an existing entry in place.
@@ -329,10 +337,12 @@ class Evaluator:
         results: list[CandidateEval | None] = [None] * len(moves)
         pending: list[int] = []
         candidates: list[Implementation] = []
+        signatures: list[tuple | None] = []
         cache = self._cache
         for index, move in enumerate(moves):
             candidate = move.apply(base)
             candidates.append(candidate)
+            signature = None
             if cache is not None:
                 signature = candidate.signature()
                 entry = cache.get(signature)
@@ -343,6 +353,7 @@ class Evaluator:
                         move, candidate, entry[0], signature, None, entry[1]
                     )
                     continue
+            signatures.append(signature)
             pending.append(index)
         if pending:
             plans = context.plan_moves(
@@ -355,9 +366,9 @@ class Evaluator:
                     for index in pending
                 ]
             )
-            for index, plan in zip(pending, plans):
+            for index, plan, signature in zip(pending, plans, signatures):
                 results[index] = self._priced_delta(
-                    context, moves[index], candidates[index], plan
+                    context, moves[index], candidates[index], plan, signature
                 )
         return results
 
@@ -369,6 +380,7 @@ class Evaluator:
     ) -> CandidateEval:
         candidate = move.apply(base)
         cache = self._cache
+        signature = None
         if cache is not None:
             signature = candidate.signature()
             entry = cache.get(signature)
@@ -379,14 +391,11 @@ class Evaluator:
                     move, candidate, entry[0], signature, None, entry[1]
                 )
         if context is None:
-            signature = (
-                candidate.signature() if cache is not None else None
-            )
             cost, record, _ = self._evaluate(candidate)
             return CandidateEval(
                 move, candidate, cost, signature, None, record
             )
-        return self._priced_delta(context, move, candidate, None)
+        return self._priced_delta(context, move, candidate, None, signature)
 
     def _priced_delta(
         self,
@@ -394,20 +403,26 @@ class Evaluator:
         move: Move,
         candidate: Implementation,
         plan,
+        signature: tuple | None,
     ) -> CandidateEval:
-        """Delta-price one (cache-missed) candidate; counters and store."""
-        state, _stats = context.delta_schedule(
+        """Delta-price one (cache-missed) candidate; counters and store.
+
+        ``signature`` is the candidate's cache key (``None`` without a
+        cache).
+        """
+        state, stats = context.delta_schedule(
             candidate.policies, candidate.mapping, move.process, plan=plan
         )
+        self.delta_copied += stats.copied
+        self.delta_recomputed += stats.recomputed
+        self.delta_resumed_rank += stats.resumed_rank
         degree, makespan = state.cost_view()
         cost = Cost(
             schedulable=degree == 0.0, degree=degree, makespan=makespan
         )
         self.evaluations += 1
         self.delta_evaluations += 1
-        signature = None
-        if self._cache is not None:
-            signature = candidate.signature()
+        if signature is not None:
             self._store(signature, [cost, None])
         return CandidateEval(move, candidate, cost, signature, state, None)
 
@@ -610,6 +625,10 @@ class Evaluator:
         Deltas (not absolutes) so several evaluators in one process — one
         per root-schedule alternative under ``optimize`` — accumulate
         rather than overwrite.  Gauges describe *this* evaluator's cache.
+        The ``evaluator.delta.*`` counters sum the replay work of every
+        delta pricing: instances copied from the base, instances
+        recomputed, and placement ranks skipped by resuming from a
+        snapshot.
         """
         if registry is None:
             from repro.obs.metrics import get_registry
@@ -625,6 +644,9 @@ class Evaluator:
             "evaluator.delta_evaluations": self.delta_evaluations,
             "evaluator.ranked_evaluations": self.ranked_evaluations,
             "evaluator.record_rebuilds": self.record_rebuilds,
+            "evaluator.delta.copied": self.delta_copied,
+            "evaluator.delta.recomputed": self.delta_recomputed,
+            "evaluator.delta.resumed_rank": self.delta_resumed_rank,
         }
         for name, value in current.items():
             previous = published.get(name, 0) if published else 0

@@ -121,10 +121,10 @@ def group_guaranteed_arrival(
 class PlacementResult:
     """Per-budget worst-case rows of a freshly placed instance.
 
-    ``finish_row`` is retained verbatim as one row of the compact
-    :class:`repro.schedule.record.ScheduleRecord`; ``dominant`` and
-    ``dominant_budget`` feed the record's binding index triple, which is
-    what the critical-path walk follows.
+    The object form of :func:`chain_rows`'s result.  In a schedule record
+    ``finish_row`` is one row verbatim, and ``dominant`` and
+    ``dominant_budget`` make the binding index triple the critical-path
+    walk follows.
     """
 
     finish_row: tuple[float, ...]  # F(i, q): worst finish when it completes
@@ -148,21 +148,99 @@ class PlacementResult:
         return self.finish_row[-1]
 
 
+def chain_rows(
+    rel_row,
+    prev: tuple[float, ...] | None,
+    wcet: float,
+    reexec: int,
+    step: float,
+    mu: float,
+    k: int,
+) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], int, bool]:
+    """The chain DP of one placement (see the module docstring).
+
+    ``rel_row[c]`` is the instance's guaranteed release when the adversary
+    spends ``c`` faults on its inputs, ``prev`` the node chain's current
+    tail row (``None`` for an empty chain) and ``step`` one recovery's
+    duration plus ``mu``.  Returns ``(finish_row, tail_row,
+    no_recovery_row, dominant_budget, node_bound)``: ``node_bound`` says
+    the chain, not the input, fixed ``F(i, k)`` at ``dominant_budget``.
+    Rows of an instance without re-executions share one tuple, because
+    its finish row *is* its no-recovery row.
+    """
+    # Base release per budget: the later of the guaranteed input arrival
+    # and the node chain's tail (hoisted out of the (q, t) double loop).
+    if prev is None:
+        base_row = rel_row
+    else:
+        base_row = [
+            chained if chained > rel else rel
+            for rel, chained in zip(rel_row, prev)
+        ]
+    no_recovery_row = tuple([base + wcet for base in base_row])
+
+    if reexec == 0:
+        # One execution per budget: F(q) = base(q) + wcet.
+        finish_row = no_recovery_row
+        dominant_budget = k
+    else:
+        # F(q) maximizes over t in [0, min(q, reexec)] re-executions, i.e.
+        # over budgets b = q - t walking down from q; ``extra`` accumulates
+        # wcet + t * step without re-multiplying per iteration.
+        finish: list[float] = []
+        for q in range(k):
+            tmax = q if q < reexec else reexec
+            best = _NEG_INF
+            extra = wcet
+            for b in range(q, q - tmax - 1, -1):
+                value = base_row[b] + extra
+                if value > best:
+                    best = value
+                extra += step
+            finish.append(best)
+        tmax = k if k < reexec else reexec
+        best = _NEG_INF
+        extra = wcet
+        dominant_budget = 0
+        for b in range(k, k - tmax - 1, -1):
+            value = base_row[b] + extra
+            if value > best:
+                best = value
+                dominant_budget = b
+            extra += step
+        finish.append(best)
+        finish_row = tuple(finish)
+
+    kill_attempts = reexec + 1
+    if k < kill_attempts:
+        tail_row = finish_row
+    else:
+        tail = list(finish_row[:kill_attempts])
+        killed_extra = wcet + mu
+        recoveries = reexec * step
+        for q in range(kill_attempts, k + 1):
+            killed = base_row[q - kill_attempts] + killed_extra + recoveries
+            worst = finish_row[q]
+            tail.append(killed if killed > worst else worst)
+        tail_row = tuple(tail)
+
+    node_bound = prev is not None and prev[dominant_budget] > rel_row[
+        dominant_budget
+    ]
+    return finish_row, tail_row, no_recovery_row, dominant_budget, node_bound
+
+
 class WorstCaseAnalyzer:
-    """Incremental per-node chain DP driven by the list scheduler."""
+    """Per-node chain DP over :class:`Instance` objects.
+
+    The list scheduler runs :func:`chain_rows` directly on its per-instance
+    constants; this class is the object-level entry point to the same
+    arithmetic.
+    """
 
     def __init__(self, faults: FaultModel) -> None:
         self.faults = faults
         self._tails: dict[str, tuple[float, ...]] = {}
-
-    def node_tail(self, node: str) -> tuple[float, ...] | None:
-        """Current chain tail of ``node`` (``None`` if nothing placed yet)."""
-        return self._tails.get(node)
-
-    def root_available(self, node: str) -> float:
-        """Fault-free time at which ``node`` becomes free."""
-        tail = self._tails.get(node)
-        return tail[0] if tail is not None else 0.0
 
     def place(self, instance: Instance, rel_row: list[float]) -> PlacementResult:
         """Append ``instance`` to its node's chain and return its rows.
@@ -177,77 +255,24 @@ class WorstCaseAnalyzer:
             raise SchedulingError(
                 f"rel_row must have k+1={k + 1} entries, got {len(rel_row)}"
             )
-        wcet = instance.wcet
-        reexec = instance.reexecutions
         # Checkpointing extension: a re-execution re-runs one segment only.
-        recovery = instance.recovery_unit
-        prev = self._tails.get(instance.node)
-        step = recovery + mu
-
-        # Base release per budget: the later of the guaranteed input arrival
-        # and the node chain's tail (hoisted out of the (q, t) double loop).
-        if prev is None:
-            base_row = rel_row
-            input_row = [True] * (k + 1)
-        else:
-            base_row = []
-            input_row = []
-            for b in range(k + 1):
-                rel = rel_row[b]
-                chained = prev[b]
-                if chained > rel:
-                    base_row.append(chained)
-                    input_row.append(False)
-                else:
-                    base_row.append(rel)
-                    input_row.append(True)
-
-        # F(q) maximizes over t in [0, min(q, reexec)] re-executions, i.e.
-        # over budgets b = q - t walking down from q; ``extra`` accumulates
-        # wcet + t * step without re-multiplying per iteration.
-        finish_row: list[float] = []
-        for q in range(k):
-            tmax = q if q < reexec else reexec
-            best = _NEG_INF
-            extra = wcet
-            for b in range(q, q - tmax - 1, -1):
-                value = base_row[b] + extra
-                if value > best:
-                    best = value
-                extra += step
-            finish_row.append(best)
-        tmax = k if k < reexec else reexec
-        best = _NEG_INF
-        extra = wcet
-        dominant_budget = 0
-        for b in range(k, k - tmax - 1, -1):
-            value = base_row[b] + extra
-            if value > best:
-                best = value
-                dominant_budget = b
-            extra += step
-        finish_row.append(best)
-        dominant = "input" if input_row[dominant_budget] else "node"
-
-        tail_row: list[float] = []
-        kill_attempts = reexec + 1
-        for q in range(k + 1):
-            tail = finish_row[q]
-            if q >= kill_attempts:
-                killed = base_row[q - kill_attempts] + (wcet + mu) + reexec * step
-                if killed > tail:
-                    tail = killed
-            tail_row.append(tail)
-
-        result = PlacementResult(
-            finish_row=tuple(finish_row),
-            tail_row=tuple(tail_row),
-            no_recovery_row=tuple(base + wcet for base in base_row),
-            dominant=dominant,
-            dominant_budget=dominant_budget,
+        finish_row, tail_row, no_recovery_row, budget, node_bound = chain_rows(
+            rel_row,
+            self._tails.get(instance.node),
+            instance.wcet,
+            instance.reexecutions,
+            instance.recovery_unit + mu,
+            mu,
+            k,
         )
-        self._tails[instance.node] = result.tail_row
-        return result
+        self._tails[instance.node] = tail_row
+        return PlacementResult(
+            finish_row=finish_row,
+            tail_row=tail_row,
+            no_recovery_row=no_recovery_row,
+            dominant="node" if node_bound else "input",
+            dominant_budget=budget,
+        )
 
 
 def guaranteed_completion(

@@ -19,14 +19,27 @@ periodic :class:`~repro.schedule.state.SchedulerSnapshot`s — and replays
    from a live heap (order may differ), but an instance whose inputs are
    provably unaffected — senders value-clean with unchanged parameters,
    the MEDL descriptors it reads byte-identical, the same chain predecessor
-   with an equal tail row — has its base rows copied verbatim instead of
-   re-running the release/worst-case machinery.  Bus packs are copied via a
+   with an equal tail row — appends its base placement-log entry verbatim
+   instead of re-running the release/worst-case machinery.  With clean
+   inputs but a different chain tail, only the chain DP re-runs, on the
+   base release row.  Bus packs are copied via a
    per-node cursor into the base pack sequence for as long as a node's pack
    stream matches the base exactly; the first mismatch switches that node
    to live first-fit packing forever.
 4. **Convergence** — a recomputed instance whose rows come out equal to the
    base re-enters the clean set, so divergence cones close instead of
    poisoning everything downstream.
+
+A replay builds no record: placements go to the state's placement log,
+and :meth:`~repro.schedule.state.SchedulerState.seal` turns the log into a
+record only for the candidate the search realizes.  The context's static
+tables — per-instance placement constants
+(:func:`~repro.schedule.state.instance_static`), the per-instance
+:attr:`EvalContext.replay_table` and the base completions — are built
+once at capture; a candidate rebuilds only the moved process's constants.
+Pricing reads :meth:`~repro.schedule.state.SchedulerState.cost_view`,
+which reuses the base completion of every process the replay did not
+recompute.
 
 Byte-identity is the contract: the sealed delta record must equal the cold
 ``build_schedule_record`` of the moved implementation *exactly* (the
@@ -49,17 +62,14 @@ from repro.model.fault import FaultModel
 from repro.model.ftgraph import FTGraph, ft_graph_with_move
 from repro.model.mapping import ReplicaMapping
 from repro.model.policy import PolicyAssignment
-from repro.schedule.record import (
-    BIND_INPUT,
-    BIND_NODE,
-    BIND_RELEASE,
-    ScheduleRecord,
-)
+from repro.schedule.record import ScheduleRecord
 from repro.schedule.state import (
+    InstanceStatic,
+    LogEntry,
     SchedulerSnapshot,
     SchedulerState,
     ScheduleTrace,
-    release_row,
+    instance_static,
 )
 from repro.ttp.bus import BusConfig
 
@@ -106,15 +116,14 @@ class EvalContext:
         "priorities",
         "record",
         "trace",
+        "statics",
+        "replay_table",
+        "completions",
         "no_recovery_rows",
         "base_index",
-        "chain_pred",
-        "reads",
         "medl_by_id",
         "snapshots",
         "_snapshot_ranks",
-        "_root_finish_arr",
-        "_ready_rank_arr",
         "_ancestors",
         "_pricer",
     )
@@ -128,6 +137,8 @@ class EvalContext:
         priorities: dict[str, float],
         record: ScheduleRecord,
         trace: ScheduleTrace,
+        statics: dict[str, InstanceStatic],
+        log: list[LogEntry],
         no_recovery_rows: dict[str, tuple[float, ...]],
         medl_by_id: dict,
         snapshots: list[tuple[int, SchedulerSnapshot, dict[str, int]]],
@@ -139,6 +150,10 @@ class EvalContext:
         self.priorities = priorities
         self.record = record
         self.trace = trace
+        # Per-instance placement constants; a candidate rebuilds only the
+        # moved process's entries.
+        self.statics = statics
+        self.completions = dict(zip(record.processes, record.completions))
         self.no_recovery_rows = no_recovery_rows
         self.medl_by_id = medl_by_id
         self.snapshots = snapshots
@@ -148,28 +163,28 @@ class EvalContext:
 
         ids = record.instance_ids
         self.base_index = {iid: index for index, iid in enumerate(ids)}
-        # Flat numpy mirrors of the per-rank base columns.  The kernel's
-        # scalar paths index the record tuples directly (faster at this
-        # row width), but batched consumers — evaluate_many aggregation,
-        # cone statistics — slice these without re-walking Python tuples.
-        self._root_finish_arr = np.asarray(record.root_finish)
-        self._ready_rank_arr = np.asarray(
-            [trace.ready_rank[iid] for iid in ids], dtype=np.int32
-        )
 
-        chain_pred: dict[str, str | None] = {}
+        tail_rows = trace.tail_rows
+        chain_pred_tail: dict[str, tuple[float, ...] | None] = {}
         for chain in record.node_chains:
             prev: int | None = None
             for index in chain:
-                chain_pred[ids[index]] = None if prev is None else ids[prev]
+                chain_pred_tail[ids[index]] = (
+                    None if prev is None else tail_rows[ids[prev]]
+                )
                 prev = index
-        self.chain_pred = chain_pred
 
-        # Per-instance read sets against the *base* graph: which sender
-        # instances and which MEDL descriptors its release row consults.
-        # Valid for every instance the overlay shares with the base (the
-        # moved process's own instances never take the copy path).
-        reads: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+        # Everything a replay reads about one base instance, in one tuple:
+        # ``(senders, desc_ids, chain_pred_tail, log_entry, no_recovery_row,
+        # tail_row, release)``.  The read sets are taken against the *base*
+        # graph — which sender instances and which MEDL descriptors its
+        # release row consults — and are valid for every instance the
+        # overlay shares with the base (the moved process's own instances
+        # never take the copy path).  ``chain_pred_tail`` is the base tail
+        # row of its chain predecessor (``None`` when it heads its chain).
+        entries = {entry[0]: entry for entry in log}
+        releases = trace.releases
+        table: dict[str, tuple] = {}
         instances = ft.instances
         bus_messages = ft.bus_messages
         for iid, inst in instances.items():
@@ -186,8 +201,16 @@ class EvalContext:
                     desc_ids.append(fast_id)
                     if replicated and f"{fast_id}#g" in bus_messages:
                         desc_ids.append(f"{fast_id}#g")
-            reads[iid] = (tuple(senders), tuple(desc_ids))
-        self.reads = reads
+            table[iid] = (
+                tuple(senders),
+                tuple(desc_ids),
+                chain_pred_tail[iid],
+                entries[iid],
+                no_recovery_rows[iid],
+                tail_rows[iid],
+                releases[iid],
+            )
+        self.replay_table = table
 
     # -- capture -----------------------------------------------------------
 
@@ -230,6 +253,8 @@ class EvalContext:
             priorities=state.priorities,
             record=record,
             trace=trace,
+            statics=state.statics,
+            log=state.log,
             no_recovery_rows=state.no_recovery_rows,
             medl_by_id=state.bus_scheduler.medl.by_id(),
             snapshots=snapshots,
@@ -587,23 +612,32 @@ class EvalContext:
             if plan is None
             else plan
         )
-
-        state = SchedulerState(
-            graph, ft, faults, self.bus, priorities=priorities
-        )
         old_group = self.ft.group_of[process]
         new_group = ft.group_of[process]
+        statics = dict(self.statics)
+        for iid in old_group:
+            del statics[iid]
+        for iid in new_group:
+            statics[iid] = instance_static(ft.instances[iid], faults.mu)
+
         cursors: dict[str, int] = {}
-        resumed = 0
         # Deepest snapshot strictly below the cone: at any rank < earliest
         # no changed instance is in the heap yet (its base ready rank is
         # >= earliest), so the base heap/arrays restore verbatim.
         slot = bisect_right(self._snapshot_ranks, cone.earliest_rank - 1) - 1
-        if slot >= 0:
-            rank, snapshot, pack_counts = self.snapshots[slot]
-            state.restore(snapshot)
+        if slot < 0:
+            state = SchedulerState(
+                graph, ft, faults, self.bus,
+                priorities=priorities, statics=statics,
+            )
+            resumed = 0
+        else:
+            resumed, snapshot, pack_counts = self.snapshots[slot]
+            state = SchedulerState(
+                graph, ft, faults, self.bus,
+                priorities=priorities, statics=statics, resume=snapshot,
+            )
             cursors.update(pack_counts)
-            resumed = rank
             remaining = state.remaining
             grew = len(new_group) - len(old_group)
             if grew:
@@ -636,170 +670,104 @@ class EvalContext:
         cursors: dict[str, int],
         resumed: int,
     ) -> DeltaStats:
-        """Drive ``state`` to completion with base-copy fast paths."""
-        faults = self.faults
-        k = faults.k
-        record = self.record
-        base_ids = record.instance_ids
-        base_index = self.base_index
-        base_finish_rows = record.finish_rows
-        base_root_start = record.root_start
-        base_root_finish = record.root_finish
-        base_wcf = record.wcf
-        base_bindings = record.bindings
-        base_no_recovery = self.no_recovery_rows
-        base_tails = self.trace.tail_rows
+        """Drive ``state`` to completion with base-copy fast paths.
+
+        A copied instance appends its base log entry; a recomputed one runs
+        the state's fused placement step.  Neither builds record rows: the
+        log is sealed only if the candidate is realized.
+        """
+        table = self.replay_table
         base_pack = self.trace.pack
         base_medl = self.medl_by_id
-        chain_pred = self.chain_pred
-        reads = self.reads
 
-        builder = state.builder
-        analyzer = state.analyzer
-        tails = analyzer._tails
+        place = state.place
+        fast_ready_of = state.fast_ready
+        statics = state.statics
+        log = state.log
+        tails = state.tails
         bus_scheduler = state.bus_scheduler
-        live_medl = bus_scheduler.medl.by_id()
         ready = state.ready
         remaining = state.remaining
         priorities = state.priorities
         root_finish = state.root_finish
         no_recovery_rows = state.no_recovery_rows
         succ_of = ft._succ
-        instances = ft.instances
-        group_of = ft.group_of
+        out_bus = ft._out_bus
 
         # Instances whose *parameters* changed never copy and keep their
         # readers dirty; value-dirtiness additionally spreads to any
         # instance whose recomputed rows differ from the base, and clears
         # again on convergence.
         param_dirty = frozenset(
-            set(self.ft.group_of[cone.process]) | set(group_of[cone.process])
+            set(self.ft.group_of[cone.process]) | set(ft.group_of[cone.process])
         )
         dirty_values: set[str] = set(param_dirty)
         dirty_desc: set[str] = set()
         pack_dirty: set[str] = set()  # nodes whose pack stream diverged
+        # Processes with a recomputed instance: only their completions can
+        # differ from the base's.
+        stale: set[str] = set()
 
         copied = 0
         recomputed = 0
 
         while ready:
             _, iid = heappop(ready)
-            instance = instances[iid]
-            node = instance.node
-            base_at = (
-                base_index.get(iid) if iid not in param_dirty else None
-            )
+            static = statics[iid]
+            node = static[0]
+            base = None if iid in param_dirty else table[iid]
 
             copy = False
-            if base_at is not None:
-                senders, desc_ids = reads[iid]
-                if dirty_values.isdisjoint(senders) and (
-                    not dirty_desc or dirty_desc.isdisjoint(desc_ids)
-                ):
-                    predecessor = chain_pred[iid]
-                    if predecessor is None:
-                        copy = not builder._chains.get(
-                            builder._node_index.get(node, -1)
-                        )
-                    else:
-                        copy = tails.get(node) == base_tails[predecessor]
+            released = None
+            if base is not None and dirty_values.isdisjoint(base[0]) and (
+                not dirty_desc or dirty_desc.isdisjoint(base[1])
+            ):
+                # Inputs as in the base: so is the release row, and the
+                # rows too if the chain predecessor's tail is.
+                released = base[6]
+                pred_tail = base[2]
+                if pred_tail is None:
+                    copy = node not in tails
+                else:
+                    copy = tails.get(node) == pred_tail
 
-            node_id = builder.node_id(node)
-            chain = builder.chain(node_id)
             if copy:
                 copied += 1
-                kind, source, budget = base_bindings[base_at]
-                if kind == BIND_NODE:
-                    binding = (BIND_NODE, chain[-1], budget)
-                elif kind == BIND_INPUT:
-                    binding = (
-                        BIND_INPUT,
-                        builder.index_of[base_ids[source]],
-                        budget,
-                    )
-                else:
-                    binding = (BIND_RELEASE, -1, budget)
-                finish_row = base_finish_rows[base_at]
-                wcf = base_wcf[base_at]
-                builder.place(
-                    iid,
-                    builder.process_id(instance.process),
-                    node_id,
-                    base_root_start[base_at],
-                    base_root_finish[base_at],
-                    wcf,
-                    finish_row,
-                    binding,
-                )
-                root_finish[iid] = base_root_finish[base_at]
-                no_recovery_rows[iid] = base_no_recovery[iid]
-                tails[node] = base_tails[iid]
+                entry = base[3]
+                log.append(entry)
+                finish_row = entry[1]
+                root_finish[iid] = finish_row[0]
+                no_recovery_rows[iid] = base[4]
+                tails[node] = base[5]
             else:
                 recomputed += 1
-                rel_row, rel_sources = release_row(
-                    ft, iid, faults, root_finish, no_recovery_rows, live_medl
+                stale.add(static[6])
+                finish_row, no_recovery_row, tail_row = place(
+                    iid, static, released
                 )
-                result = analyzer.place(instance, rel_row)
-                if result.dominant == "node" and chain:
-                    binding = (BIND_NODE, chain[-1], result.dominant_budget)
-                else:
-                    source_iid = rel_sources[result.dominant_budget]
-                    if source_iid is None:
-                        binding = (BIND_RELEASE, -1, result.dominant_budget)
-                    else:
-                        binding = (
-                            BIND_INPUT,
-                            builder.index_of[source_iid],
-                            result.dominant_budget,
-                        )
-                finish_row = result.finish_row
-                wcf = result.wcf
-                builder.place(
-                    iid,
-                    builder.process_id(instance.process),
-                    node_id,
-                    result.root_finish - instance.wcet,
-                    result.root_finish,
-                    wcf,
-                    finish_row,
-                    binding,
-                )
-                root_finish[iid] = result.root_finish
-                no_recovery_rows[iid] = result.no_recovery_row
-
                 # Convergence: rows identical to the base make this
                 # instance transparent to its readers again.
-                if base_at is not None:
+                if base is not None:
                     if (
-                        finish_row == base_finish_rows[base_at]
-                        and result.no_recovery_row == base_no_recovery[iid]
-                        and result.tail_row == base_tails[iid]
+                        finish_row == base[3][1]
+                        and no_recovery_row == base[4]
+                        and tail_row == base[5]
                     ):
                         dirty_values.discard(iid)
                     else:
                         dirty_values.add(iid)
-                elif iid not in param_dirty:
-                    dirty_values.add(iid)
 
-            outgoing = ft.outgoing_bus_messages(iid)
+            outgoing = out_bus.get(iid)
             if outgoing:
-                reuse_budget = 0
-                for sibling in group_of[instance.process]:
-                    if (
-                        sibling != iid
-                        and sibling in root_finish
-                        and instances[sibling].node == node
-                    ):
-                        reuse_budget += instances[sibling].kill_cost
-                fast_ready = finish_row[
-                    reuse_budget if reuse_budget < k else k
-                ]
+                wcf = finish_row[-1]
                 pack_ok = node not in pack_dirty
                 sequence = base_pack.get(node, ())
                 cursor = cursors.get(node, 0)
                 for bus_message in outgoing:
                     data_ready = (
-                        fast_ready if bus_message.kind == "fast" else wcf
+                        fast_ready_of(iid, static, finish_row)
+                        if bus_message.kind == "fast"
+                        else wcf
                     )
                     bid = bus_message.id
                     if (
@@ -836,6 +804,11 @@ class EvalContext:
                 if count == 0:
                     heappush(ready, (-priorities[succ], succ))
 
+        state.clean_completions = {
+            process: completion
+            for process, completion in self.completions.items()
+            if process not in stale
+        }
         return DeltaStats(
             resumed_rank=resumed, copied=copied, recomputed=recomputed
         )

@@ -23,8 +23,6 @@ see :class:`repro.schedule.table.SystemSchedule`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 from repro.errors import SchedulingError
 
@@ -232,194 +230,3 @@ class ScheduleRecord:
 
 #: Version tag of the record wire format (bump on layout changes).
 RECORD_FORMAT_VERSION = 1
-
-
-class RecordBuilder:
-    """Incremental construction of a :class:`ScheduleRecord`.
-
-    The list scheduler appends one row per placement; ids are interned on
-    first sight so the hot loop only pays dict lookups.  ``finish`` seals
-    the arrays into the immutable record.
-    """
-
-    __slots__ = (
-        "_processes",
-        "_process_index",
-        "_nodes",
-        "_node_index",
-        "instance_ids",
-        "index_of",
-        "instance_process",
-        "instance_node",
-        "root_start",
-        "root_finish",
-        "wcf",
-        "finish_rows",
-        "bindings",
-        "_chains",
-    )
-
-    def __init__(self) -> None:
-        self._processes: list[str] = []
-        self._process_index: dict[str, int] = {}
-        self._nodes: list[str] = []
-        self._node_index: dict[str, int] = {}
-        self.instance_ids: list[str] = []
-        self.index_of: dict[str, int] = {}
-        self.instance_process: list[int] = []
-        self.instance_node: list[int] = []
-        self.root_start: list[float] = []
-        self.root_finish: list[float] = []
-        self.wcf: list[float] = []
-        self.finish_rows: list[tuple[float, ...]] = []
-        self.bindings: list[tuple[int, int, int]] = []
-        self._chains: dict[int, list[int]] = {}
-
-    @property
-    def process_count(self) -> int:
-        return len(self._processes)
-
-    @property
-    def node_index(self) -> Mapping[str, int]:
-        """The node -> index intern table (immutable proxy)."""
-        return MappingProxyType(self._node_index)
-
-    def process_id(self, process: str) -> int:
-        index = self._process_index.get(process)
-        if index is None:
-            index = len(self._processes)
-            self._process_index[process] = index
-            self._processes.append(process)
-        return index
-
-    def node_id(self, node: str) -> int:
-        index = self._node_index.get(node)
-        if index is None:
-            index = len(self._nodes)
-            self._node_index[node] = index
-            self._nodes.append(node)
-        return index
-
-    def chain(self, node_id: int) -> list[int]:
-        """The (mutable) placement chain of ``node_id``, in index space."""
-        chain = self._chains.get(node_id)
-        if chain is None:
-            chain = self._chains[node_id] = []
-        return chain
-
-    def place(
-        self,
-        iid: str,
-        process_id: int,
-        node_id: int,
-        root_start: float,
-        root_finish: float,
-        wcf: float,
-        finish_row: tuple[float, ...],
-        binding: tuple[int, int, int],
-    ) -> int:
-        """Append one placement row; returns the new instance index."""
-        index = len(self.instance_ids)
-        self.index_of[iid] = index
-        self.instance_ids.append(iid)
-        self.instance_process.append(process_id)
-        self.instance_node.append(node_id)
-        self.root_start.append(root_start)
-        self.root_finish.append(root_finish)
-        self.wcf.append(wcf)
-        self.finish_rows.append(finish_row)
-        self.bindings.append(binding)
-        self.chain(node_id).append(index)
-        return index
-
-    def snapshot(self) -> tuple:
-        """Shallow-copy every accumulator (all elements are immutable).
-
-        Together with :meth:`restore` this lets the incremental scheduler
-        rewind a builder to a placement-rank boundary; one snapshot can
-        seed any number of replays because ``restore`` copies again.
-        """
-        return (
-            list(self._processes),
-            dict(self._process_index),
-            list(self._nodes),
-            dict(self._node_index),
-            list(self.instance_ids),
-            dict(self.index_of),
-            list(self.instance_process),
-            list(self.instance_node),
-            list(self.root_start),
-            list(self.root_finish),
-            list(self.wcf),
-            list(self.finish_rows),
-            list(self.bindings),
-            {node_id: list(chain) for node_id, chain in self._chains.items()},
-        )
-
-    def restore(self, state: tuple) -> None:
-        """Reset to a state captured by :meth:`snapshot`."""
-        (
-            processes,
-            process_index,
-            nodes,
-            node_index,
-            instance_ids,
-            index_of,
-            instance_process,
-            instance_node,
-            root_start,
-            root_finish,
-            wcf,
-            finish_rows,
-            bindings,
-            chains,
-        ) = state
-        self._processes = list(processes)
-        self._process_index = dict(process_index)
-        self._nodes = list(nodes)
-        self._node_index = dict(node_index)
-        self.instance_ids = list(instance_ids)
-        self.index_of = dict(index_of)
-        self.instance_process = list(instance_process)
-        self.instance_node = list(instance_node)
-        self.root_start = list(root_start)
-        self.root_finish = list(root_finish)
-        self.wcf = list(wcf)
-        self.finish_rows = list(finish_rows)
-        self.bindings = list(bindings)
-        self._chains = {
-            node_id: list(chain) for node_id, chain in chains.items()
-        }
-
-    def finish(
-        self,
-        process_replicas: tuple[tuple[int, ...], ...],
-        completions: tuple[float, ...],
-        deadlines: tuple[float | None, ...],
-        medl: tuple[tuple[str, int, int, float, float, int, int], ...],
-        k: int,
-        mu: float,
-    ) -> ScheduleRecord:
-        node_chains = tuple(
-            tuple(self._chains.get(node_id, ()))
-            for node_id in range(len(self._nodes))
-        )
-        return ScheduleRecord(
-            processes=tuple(self._processes),
-            nodes=tuple(self._nodes),
-            instance_ids=tuple(self.instance_ids),
-            instance_process=tuple(self.instance_process),
-            instance_node=tuple(self.instance_node),
-            root_start=tuple(self.root_start),
-            root_finish=tuple(self.root_finish),
-            wcf=tuple(self.wcf),
-            finish_rows=tuple(self.finish_rows),
-            bindings=tuple(self.bindings),
-            node_chains=node_chains,
-            process_replicas=process_replicas,
-            completions=completions,
-            deadlines=deadlines,
-            medl=medl,
-            k=k,
-            mu=mu,
-        )

@@ -4,43 +4,58 @@
 list scheduler (paper §5.1, Fig. 6) advances per placement step:
 
 * the ready heap and per-instance predecessor countdowns,
-* the :class:`repro.schedule.record.RecordBuilder` accumulating the flat
-  :class:`~repro.schedule.record.ScheduleRecord` arrays,
-* the worst-case analyzer's per-node chain tails,
+* the *placement log* — one ``(iid, finish_row, binding_kind, source,
+  budget)`` tuple per placement, in placement order,
+* the per-node chain tails of the worst-case analysis,
 * the bus scheduler's slot fill levels and MEDL,
 * the per-instance ``root_finish`` / ``no_recovery_row`` maps feeding later
   release computations.
 
 ``step()`` places exactly one instance (one iteration of the Fig. 6 loop);
-``run()`` drives the schedule to completion; ``seal()`` freezes the record.
+``run()`` drives the schedule to completion; ``seal()`` turns the log into
+the :class:`~repro.schedule.record.ScheduleRecord`.  Placing does no record
+work at all — no id interning, no chain lists, no index resolution — so a
+pass that is only *priced* (:meth:`SchedulerState.cost_view`) never pays
+for a record it would throw away.
+
+One placement is one fused step (:meth:`SchedulerState.place`): the
+guaranteed release row (:func:`guaranteed_release`) and the chain DP
+(:func:`repro.schedule.analysis.chain_rows`) over per-instance constant
+tuples (:func:`instance_static`), built once per FT graph.
+:func:`release_row` and
+:meth:`repro.schedule.analysis.WorstCaseAnalyzer.place` are thin
+object-level entry points to the same two halves.
+
 The split exists for the incremental evaluation kernel
 (:mod:`repro.schedule.incremental`): every field is a flat dict/list over
 immutable values, so :meth:`SchedulerState.snapshot` captures the whole
 machine at a process-rank boundary in O(state) shallow copies and
-:meth:`SchedulerState.restore` rewinds to it, letting a re-schedule resume
-from the deepest prefix unaffected by a design change instead of starting
-cold.  The snapshot contract is documented in DESIGN.md.
+a state constructed with ``resume=snapshot`` starts from it, letting a
+re-schedule resume from the deepest prefix unaffected by a design change
+instead of starting cold.  The snapshot contract is documented in DESIGN.md.
 
 With ``trace=ScheduleTrace()`` the state additionally records the per-step
 facts the delta kernel needs to decide, during a later replay, whether an
 instance's base rows can be copied verbatim: the rank at which each instance
-became ready, the fault-reuse budget behind its fast frames, its chain tail
-row, and each node's bus pack sequence.
+became ready, its release and chain tail rows, and each node's bus pack
+sequence.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.errors import SchedulingError
 from repro.model.application import ProcessGraph
 from repro.model.fault import FaultModel
-from repro.model.ftgraph import FTGraph
+from repro.model.ftgraph import FTGraph, InputGroup, Instance
 from repro.obs.metrics import get_registry
 from repro.schedule.analysis import (
-    WorstCaseAnalyzer,
+    chain_rows,
     group_survivor_indices,
     guaranteed_completion,
 )
@@ -49,33 +64,67 @@ from repro.schedule.record import (
     BIND_INPUT,
     BIND_NODE,
     BIND_RELEASE,
-    RecordBuilder,
     ScheduleRecord,
 )
 from repro.ttp.bus import BusConfig
 from repro.ttp.medl import MessageDescriptor
 from repro.ttp.schedule import BusScheduler
 
+#: Bound of the :func:`replicated_group_arrivals` memo.  On the cruise
+#: controller searches (NFT, MXR, MR), 1024 entries serve 86% of the
+#: replicated-group pricings from the memo (4096 entries: 90%, for about
+#: 3 MB more peak memory).
+GROUP_ARRIVALS_CACHE_SIZE = 1024
+
+#: Per-instance constants of the placement step (see :func:`instance_static`).
+InstanceStatic = tuple[str, int, float, int, float, float, str]
+
+
+def instance_static(instance: Instance, mu: float) -> InstanceStatic:
+    """The constants one placement step reads about ``instance``.
+
+    ``(node, kill_cost, step, reexecutions, wcet, release, process)`` where
+    ``step`` is one recovery's duration plus ``mu`` (the checkpointing
+    extension re-runs one segment only).  The tuple replaces attribute and
+    property lookups on :class:`Instance` in the scheduler's inner loops.
+    """
+    return (
+        instance.node,
+        instance.kill_cost,
+        instance.recovery_unit + mu,
+        instance.reexecutions,
+        instance.wcet,
+        instance.release,
+        instance.process,
+    )
+
+
+def instance_statics(
+    instances: dict[str, Instance], mu: float
+) -> dict[str, InstanceStatic]:
+    """:func:`instance_static` of every instance, keyed by instance id."""
+    return {iid: instance_static(inst, mu) for iid, inst in instances.items()}
+
 
 def group_release_inputs(
-    group,
+    group: InputGroup,
     node: str,
-    instances,
+    statics: dict[str, InstanceStatic],
     root_finish: dict[str, float],
     no_recovery_rows: dict[str, tuple[float, ...]],
     medl_by_id: dict[str, MessageDescriptor],
-    mu: float,
     owner: str,
     missing: list | None = None,
 ):
     """Classify one input group's senders for release pricing.
 
     This is the single source of truth for the local/masked/fast sender
-    classification both release paths share: the scalar :func:`release_row`
+    classification both release paths share: :func:`guaranteed_release`
     below and the vectorized kernel in :mod:`repro.schedule.vector` (which
     additionally prices *hypothetical* receiver nodes against base-schedule
     mirrors, so classification drift between the two would silently break
-    the vector tier's error bounds).
+    the vector tier's error bounds).  ``statics`` maps each sender to its
+    :func:`instance_static` tuple.
 
     Returns ``(immune, fast_senders)``:
 
@@ -100,9 +149,8 @@ def group_release_inputs(
     frame_ids = group.frame_ids
     replicated = len(frame_ids) > 1
     for src_iid, fast_id, guaranteed_id in frame_ids:
-        src = instances[src_iid]
-        kill_cost = src.kill_cost
-        if src.node == node:
+        src_node, kill_cost, step, reexec = statics[src_iid][:4]
+        if src_node == node:
             # Local input: delays of the local chain are handled by the
             # node DP, so only the terminal kill removes this entry.
             immune.append((root_finish[src_iid], kill_cost, src_iid))
@@ -110,11 +158,7 @@ def group_release_inputs(
         descriptor = medl_by_id.get(fast_id)
         if descriptor is None:
             if missing is None:
-                raise SchedulingError(
-                    f"no MEDL entry for bus message {fast_id!r} while "
-                    f"releasing {owner!r} (bus scheduling out of sync with "
-                    f"the FT graph)"
-                )
+                raise _missing_frame(fast_id, owner)
             missing.append((src_iid, fast_id, guaranteed_id, replicated))
             continue
         if not replicated:
@@ -130,13 +174,20 @@ def group_release_inputs(
                     descriptor.slot_end,
                     None if guaranteed is None else guaranteed.slot_end,
                     no_recovery_rows[src_iid],
-                    src.recovery_unit + mu,
-                    src.reexecutions,
+                    step,
+                    reexec,
                     kill_cost,
                     src_iid,
                 )
             )
     return immune, fast_senders
+
+
+def _missing_frame(fast_id: str, owner: str) -> SchedulingError:
+    return SchedulingError(
+        f"no MEDL entry for bus message {fast_id!r} while releasing "
+        f"{owner!r} (bus scheduling out of sync with the FT graph)"
+    )
 
 
 def release_row(
@@ -146,6 +197,36 @@ def release_row(
     root_finish: dict[str, float],
     no_recovery_rows: dict[str, tuple[float, ...]],
     medl_by_id: dict[str, MessageDescriptor],
+) -> tuple[list[float], list[str | None]]:
+    """:func:`guaranteed_release` of instance ``iid`` of ``ft``.
+
+    Object-level entry point for tests and tools; the scheduler calls
+    :func:`guaranteed_release` with its precomputed constants.
+    """
+    instances = ft.instances
+    instance = instances[iid]
+    inputs = ft.inputs_of(iid)
+    statics = {
+        src: instance_static(instances[src], faults.mu)
+        for group in inputs
+        for src in group.sources
+    }
+    return guaranteed_release(
+        inputs, instance.node, instance.release, statics, faults.k,
+        root_finish, no_recovery_rows, medl_by_id, iid,
+    )
+
+
+def guaranteed_release(
+    inputs: tuple[InputGroup, ...],
+    node: str,
+    release: float,
+    statics: dict[str, InstanceStatic],
+    k: int,
+    root_finish: dict[str, float],
+    no_recovery_rows: dict[str, tuple[float, ...]],
+    medl_by_id: dict[str, MessageDescriptor],
+    owner: str,
 ) -> tuple[list[float], list[str | None]]:
     """Guaranteed release per adversary budget, plus per-budget sources.
 
@@ -189,86 +270,130 @@ def release_row(
     sender prices) and faults elsewhere (covered by some ``d``); budget 0
     reproduces the fault-free fast arrivals exactly.
     """
-    k = faults.k
-    mu = faults.mu
-    instances = ft.instances
-    instance = instances[iid]
-    node = instance.node
-
-    rel_row = [instance.release] * (k + 1)
+    rel_row = [release] * (k + 1)
     sources: list[str | None] = [None] * (k + 1)
+    budgets = range(k + 1)
 
-    for group in ft.inputs_of(iid):
-        immune, fast_senders = group_release_inputs(
-            group, node, instances, root_finish, no_recovery_rows,
-            medl_by_id, mu, iid,
-        )
-
-        if not fast_senders and len(immune) == 1:
-            # Single-source group (the common case): the lone entry survives
-            # every budget (`group_survivor_indices` pins index 0), so the
-            # breakpoint scan below would only rediscover it.
-            arrival, _, src_iid = immune[0]
-            for c in range(k + 1):
+    for group in inputs:
+        frame_ids = group.frame_ids
+        if len(frame_ids) == 1:
+            # Single-source group (the common case): a local finish or a
+            # masked frame, which survives every budget
+            # (`group_survivor_indices` pins index 0), so the breakpoint
+            # scan below would only rediscover it.
+            src_iid, fast_id, _ = frame_ids[0]
+            if statics[src_iid][0] == node:
+                arrival = root_finish[src_iid]
+            else:
+                descriptor = medl_by_id.get(fast_id)
+                if descriptor is None:
+                    raise _missing_frame(fast_id, owner)
+                arrival = descriptor.slot_end
+            for c in budgets:
                 if arrival > rel_row[c]:
                     rel_row[c] = arrival
                     sources[c] = src_iid
             continue
 
-        # Per sender, the fast frame's silencing price at every shared
-        # budget d: own recoveries still needed to miss the slot on top of
-        # the shared delay (beyond reexec only a kill silences).  The
-        # price is non-increasing in d; a branch whose prices all equal
-        # the previous d's is dominated by it (same entries, smaller kill
-        # budget => an earlier survivor), so only the breakpoints where
-        # some price drops need evaluating.
-        fast_costs: list[list[int]] = []
-        breakpoints = {0}
-        for (
-            slot_start, _, _, row, step, reexec, kill_cost, _,
-        ) in fast_senders:
-            threshold = slot_start + 1e-9
-            costs = []
-            for d in range(k + 1):
-                fast_cost = kill_cost
-                delayed = row[d]
-                for t in range(reexec + 1):
-                    if delayed > threshold:
-                        fast_cost = t if t < kill_cost else kill_cost
-                        break
-                    delayed += step
-                costs.append(fast_cost)
-                if d and fast_cost != costs[d - 1]:
-                    breakpoints.add(d)
-            fast_costs.append(costs)
+        immune, fast_senders = group_release_inputs(
+            group, node, statics, root_finish, no_recovery_rows,
+            medl_by_id, owner,
+        )
 
-        for d in sorted(breakpoints):
-            entries = list(immune)
-            for costs, (
-                _, slot_end, guaranteed_end, _, _, _, kill_cost, src_iid,
-            ) in zip(fast_costs, fast_senders):
-                fast_cost = costs[d]
-                if fast_cost > 0:
-                    entries.append((slot_end, fast_cost, src_iid))
-                if guaranteed_end is not None:
-                    # A kill removes both frames: after the fast one was
-                    # silenced, the twin costs the remaining kills (0 when
-                    # silencing already was a full kill).
-                    entries.append(
-                        (guaranteed_end, kill_cost - fast_cost, src_iid)
-                    )
-            # Survivors are tracked by *index*: on arrival-time ties a
-            # value lookup would name the first tied sender, which may be
-            # a replica the adversary already killed, corrupting
-            # critical-path extraction.
-            entries.sort()
-            indices = group_survivor_indices(entries, k - d)
-            for c in range(d, k + 1):
-                survivor = entries[indices[c - d]]
-                if survivor[0] > rel_row[c]:
-                    rel_row[c] = survivor[0]
-                    sources[c] = survivor[2]
+        arrivals = replicated_group_arrivals(
+            tuple(immune), tuple(fast_senders), k
+        )
+        for c in budgets:
+            arrival, src_iid = arrivals[c]
+            if arrival > rel_row[c]:
+                rel_row[c] = arrival
+                sources[c] = src_iid
     return rel_row, sources
+
+
+@functools.lru_cache(maxsize=GROUP_ARRIVALS_CACHE_SIZE)
+def replicated_group_arrivals(
+    immune: tuple[tuple[float, int, str], ...],
+    fast_senders: tuple[tuple, ...],
+    k: int,
+) -> tuple[tuple[float, str], ...]:
+    """Guaranteed ``(arrival, sender)`` of one replicated input group per
+    adversary budget ``0..k`` (the arguments are
+    :func:`group_release_inputs`'s output, as tuples).
+
+    Entry ``c`` is the latest survivor over every split of ``c`` faults
+    into a shared delay ``d`` and kills (see :func:`guaranteed_release`);
+    on equal arrivals the smallest ``d`` wins, so folding the entry into a
+    release row with a strict ``>`` equals folding each split's survivor
+    in turn.  The result depends on the arguments only, so it is memoized:
+    a search prices the same group against the same sender rows and frames
+    over and over.  Every time in a key is non-negative, so equal keys are
+    bit-identical.
+    """
+    # Per sender, the fast frame's silencing price at every shared
+    # budget d: own recoveries still needed to miss the slot on top of
+    # the shared delay (beyond reexec only a kill silences).  The
+    # price is non-increasing in d; a branch whose prices all equal
+    # the previous d's is dominated by it (same entries, smaller kill
+    # budget => an earlier survivor), so only the breakpoints where
+    # some price drops need evaluating.
+    fast_costs: list[list[int]] = []
+    for (
+        slot_start, _, _, row, step, reexec, kill_cost, _,
+    ) in fast_senders:
+        threshold = slot_start + 1e-9
+        if reexec == 0:
+            # Only the shared delay can miss the slot.
+            fast_costs.append(
+                [0 if delayed > threshold else kill_cost for delayed in row]
+            )
+            continue
+        costs = []
+        for d in range(k + 1):
+            fast_cost = kill_cost
+            delayed = row[d]
+            for t in range(reexec + 1):
+                if delayed > threshold:
+                    fast_cost = t if t < kill_cost else kill_cost
+                    break
+                delayed += step
+            costs.append(fast_cost)
+        fast_costs.append(costs)
+    breakpoints = [0]
+    for d in range(1, k + 1):
+        for costs in fast_costs:
+            if costs[d] != costs[d - 1]:
+                breakpoints.append(d)
+                break
+
+    best: list[tuple[float, str] | None] = [None] * (k + 1)
+    for d in breakpoints:
+        entries = list(immune)
+        for costs, (
+            _, slot_end, guaranteed_end, _, _, _, kill_cost, src_iid,
+        ) in zip(fast_costs, fast_senders):
+            fast_cost = costs[d]
+            if fast_cost > 0:
+                entries.append((slot_end, fast_cost, src_iid))
+            if guaranteed_end is not None:
+                # A kill removes both frames: after the fast one was
+                # silenced, the twin costs the remaining kills (0 when
+                # silencing already was a full kill).
+                entries.append(
+                    (guaranteed_end, kill_cost - fast_cost, src_iid)
+                )
+        # Survivors are tracked by *index*: on arrival-time ties a
+        # value lookup would name the first tied sender, which may be
+        # a replica the adversary already killed, corrupting
+        # critical-path extraction.
+        entries.sort()
+        indices = group_survivor_indices(entries, k - d)
+        for c in range(d, k + 1):
+            survivor = entries[indices[c - d]]
+            current = best[c]
+            if current is None or survivor[0] > current[0]:
+                best[c] = (survivor[0], survivor[2])
+    return tuple(best)
 
 
 @dataclass(slots=True)
@@ -279,16 +404,29 @@ class ScheduleTrace:
     placement rank at which ``iid`` could have been popped (0 for roots,
     otherwise one past the rank of its last-placed predecessor) — the delta
     kernel's divergence bound rewinds to the minimum ready rank over all
-    affected instances.  ``pack`` holds each node's bus pack sequence as
+    affected instances.  ``releases`` holds each instance's
+    :func:`guaranteed_release` result, which a replay reuses when the
+    instance's senders and the frames it reads are unchanged but its chain
+    predecessor is not.  ``pack`` holds each node's bus pack sequence as
     ``(bus_message_id, data_ready)`` pairs in pack order, which is what the
     replay compares against to reuse a base MEDL descriptor without
     re-running first-fit.
     """
 
     ready_rank: dict[str, int] = field(default_factory=dict)
-    reuse_budget: dict[str, int] = field(default_factory=dict)
     tail_rows: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    releases: dict[
+        str, tuple[tuple[float, ...], tuple[str | None, ...]]
+    ] = field(default_factory=dict)
     pack: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
+
+
+#: One placement in the log: ``(iid, finish_row, binding_kind, source_iid,
+#: budget)``.  ``source_iid`` names the dominant input sender of a
+#: ``BIND_INPUT`` binding and is ``None`` otherwise; :meth:`SchedulerState.seal`
+#: resolves it (and a ``BIND_NODE`` binding's chain predecessor) to record
+#: indices.
+LogEntry = tuple[str, tuple[float, ...], int, str | None, int]
 
 
 @dataclass(slots=True)
@@ -308,11 +446,18 @@ class SchedulerSnapshot:
     medl_by_id: dict[str, MessageDescriptor]
     root_finish: dict[str, float]
     no_recovery_rows: dict[str, tuple[float, ...]]
-    builder_state: tuple
+    log: list[LogEntry]
 
 
 class SchedulerState:
-    """One in-flight list-scheduling pass as an explicit state machine."""
+    """One in-flight list-scheduling pass as an explicit state machine.
+
+    ``statics`` (default: built from ``ft``) holds every instance's
+    :func:`instance_static` tuple; the delta kernel passes the base
+    table with only the moved process's entries rebuilt.  ``resume``
+    starts the pass from a snapshot of a run over the same design prefix
+    instead of from an empty schedule.
+    """
 
     __slots__ = (
         "graph",
@@ -320,16 +465,20 @@ class SchedulerState:
         "faults",
         "bus",
         "priorities",
-        "analyzer",
+        "statics",
         "bus_scheduler",
-        "builder",
+        "log",
+        "tails",
         "ready",
         "remaining",
         "root_finish",
         "no_recovery_rows",
+        "clean_completions",
         "trace",
+        "_inputs",
         "_succ_of",
         "_k",
+        "_mu",
     )
 
     def __init__(
@@ -341,6 +490,8 @@ class SchedulerState:
         *,
         priorities: dict[str, float] | None = None,
         trace: ScheduleTrace | None = None,
+        statics: dict[str, InstanceStatic] | None = None,
+        resume: SchedulerSnapshot | None = None,
     ) -> None:
         if len(ft) == 0:
             raise SchedulingError("nothing to schedule: the FT graph is empty")
@@ -351,15 +502,28 @@ class SchedulerState:
         self.priorities = (
             pcp_priorities(ft, bus, faults) if priorities is None else priorities
         )
-        self.analyzer = WorstCaseAnalyzer(faults)
+        self.statics = (
+            instance_statics(ft.instances, faults.mu)
+            if statics is None
+            else statics
+        )
         self.bus_scheduler = BusScheduler(bus)
-        self.builder = RecordBuilder()
-        self.root_finish = {}
-        self.no_recovery_rows = {}
+        #: Completions the delta kernel proved equal to its base's, by
+        #: process; :meth:`cost_view` reuses them instead of recomputing.
+        self.clean_completions: dict[str, float] = {}
         self.trace = trace
+        self._inputs = ft.inputs
         self._succ_of = ft._succ
         self._k = faults.k
+        self._mu = faults.mu
+        if resume is not None:
+            self.restore(resume)
+            return
 
+        self.log: list[LogEntry] = []
+        self.tails: dict[str, tuple[float, ...]] = {}
+        self.root_finish: dict[str, float] = {}
+        self.no_recovery_rows: dict[str, tuple[float, ...]] = {}
         # Readiness bookkeeping: an instance is ready when all predecessors
         # in the instance DAG are placed (their bus messages are scheduled
         # at placement time, so readiness implies known arrival times).
@@ -378,92 +542,115 @@ class SchedulerState:
     @property
     def rank(self) -> int:
         """Number of instances placed so far (= next placement rank)."""
-        return len(self.builder.instance_ids)
+        return len(self.log)
 
     @property
     def done(self) -> bool:
         return not self.ready
 
-    def peek(self) -> str | None:
-        """Instance id the next ``step()`` will place (None when done)."""
-        return self.ready[0][1] if self.ready else None
+    def place(
+        self,
+        iid: str,
+        static: InstanceStatic,
+        released: tuple[Sequence[float], Sequence[str | None]] | None = None,
+    ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+        """The fused placement step: release row, chain DP, log entry.
+
+        Appends ``iid`` to its node's chain and returns its ``(finish_row,
+        no_recovery_row, tail_row)``.  ``released`` is a known
+        :func:`guaranteed_release` result for ``iid`` against the current
+        senders and MEDL; the delta kernel passes the base's when it proved
+        them unchanged.
+        """
+        node, _, step, reexec, wcet, release, _ = static
+        k = self._k
+        if released is None:
+            released = guaranteed_release(
+                self._inputs.get(iid, ()),
+                node,
+                release,
+                self.statics,
+                k,
+                self.root_finish,
+                self.no_recovery_rows,
+                self.bus_scheduler.medl.by_id(),
+                iid,
+            )
+            if self.trace is not None:
+                # Frozen: every replay of the base reads the same rows.
+                self.trace.releases[iid] = (
+                    tuple(released[0]), tuple(released[1])
+                )
+        rel_row, sources = released
+        finish_row, tail_row, no_recovery_row, budget, node_bound = chain_rows(
+            rel_row, self.tails.get(node), wcet, reexec, step, self._mu, k
+        )
+        if node_bound:
+            entry = (iid, finish_row, BIND_NODE, None, budget)
+        else:
+            source = sources[budget]
+            entry = (
+                iid,
+                finish_row,
+                BIND_RELEASE if source is None else BIND_INPUT,
+                source,
+                budget,
+            )
+        self.log.append(entry)
+        self.tails[node] = tail_row
+        self.root_finish[iid] = finish_row[0]
+        self.no_recovery_rows[iid] = no_recovery_row
+        return finish_row, no_recovery_row, tail_row
+
+    def fast_ready(
+        self, iid: str, static: InstanceStatic, finish_row: tuple[float, ...]
+    ) -> float:
+        """When ``iid``'s fast frames may depart (placed rows given).
+
+        Fast frames of replicas depart right after the fault-free finish
+        (Fig. 4b); masked/guaranteed frames only after the worst-case
+        finish so recovery stays transparent (Fig. 4a).
+
+        Co-location caveat: killing an *earlier co-located* replica of the
+        same process both removes that replica's frame and delays this one
+        (fault reuse).  The fast frame therefore departs only after the
+        finish under a budget covering those sibling kills, so the
+        receiver-side marginal cost accounting stays sound.
+        """
+        node = static[0]
+        statics = self.statics
+        root_finish = self.root_finish
+        reuse_budget = 0
+        for sibling in self.ft.group_of[static[6]]:
+            if sibling != iid and sibling in root_finish:
+                sibling_static = statics[sibling]
+                if sibling_static[0] == node:
+                    reuse_budget += sibling_static[1]
+        k = self._k
+        return finish_row[reuse_budget if reuse_budget < k else k]
 
     def step(self) -> str:
         """Place the highest-priority ready instance; one Fig. 6 iteration."""
         _, iid = heapq.heappop(self.ready)
         ft = self.ft
-        instance = ft.instances[iid]
-        rel_row, rel_sources = release_row(
-            ft,
-            iid,
-            self.faults,
-            self.root_finish,
-            self.no_recovery_rows,
-            self.bus_scheduler.medl.by_id(),
-        )
-
-        builder = self.builder
-        node = instance.node
-        node_id = builder.node_id(node)
-        chain = builder.chain(node_id)
-
-        result = self.analyzer.place(instance, rel_row)
-        if result.dominant == "node" and chain:
-            binding = (BIND_NODE, chain[-1], result.dominant_budget)
-        else:
-            source = rel_sources[result.dominant_budget]
-            if source is None:
-                binding = (BIND_RELEASE, -1, result.dominant_budget)
-            else:
-                binding = (
-                    BIND_INPUT,
-                    builder.index_of[source],
-                    result.dominant_budget,
-                )
-        builder.place(
-            iid,
-            builder.process_id(instance.process),
-            node_id,
-            result.root_finish - instance.wcet,
-            result.root_finish,
-            result.wcf,
-            result.finish_row,
-            binding,
-        )
-        self.root_finish[iid] = result.root_finish
-        self.no_recovery_rows[iid] = result.no_recovery_row
+        static = self.statics[iid]
+        finish_row, _, tail_row = self.place(iid, static)
         trace = self.trace
         if trace is not None:
-            trace.tail_rows[iid] = result.tail_row
+            trace.tail_rows[iid] = tail_row
 
-        outgoing = ft.outgoing_bus_messages(iid)
+        outgoing = ft._out_bus.get(iid)
         if outgoing:
-            # Fast frames of replicas depart right after the fault-free
-            # finish (Fig. 4b); masked/guaranteed frames only after the
-            # worst-case finish so recovery stays transparent (Fig. 4a).
-            #
-            # Co-location caveat: killing an *earlier co-located* replica of
-            # the same process both removes that replica's frame and delays
-            # this one (fault reuse).  The fast frame therefore departs only
-            # after the finish under a budget covering those sibling kills,
-            # so the receiver-side marginal cost accounting stays sound.
-            reuse_budget = 0
-            root_finish = self.root_finish
-            for sibling in ft.group_of[instance.process]:
-                if (
-                    sibling != iid
-                    and sibling in root_finish
-                    and ft.instances[sibling].node == node
-                ):
-                    reuse_budget += ft.instances[sibling].kill_cost
-            fast_ready = result.finish_row[min(reuse_budget, self._k)]
+            node = static[0]
+            wcf = finish_row[-1]
             if trace is not None:
-                trace.reuse_budget[iid] = reuse_budget
                 pack_seq = trace.pack.setdefault(node, [])
             schedule_message = self.bus_scheduler.schedule_message
             for bus_message in outgoing:
                 data_ready = (
-                    fast_ready if bus_message.kind == "fast" else result.wcf
+                    self.fast_ready(iid, static, finish_row)
+                    if bus_message.kind == "fast"
+                    else wcf
                 )
                 schedule_message(
                     bus_message.id, node, bus_message.message.size, data_ready
@@ -474,7 +661,7 @@ class SchedulerState:
         remaining = self.remaining
         ready = self.ready
         priorities = self.priorities
-        rank_after = len(builder.instance_ids)
+        rank_after = len(self.log)
         for succ in self._succ_of[iid]:
             remaining[succ] -= 1
             if remaining[succ] == 0:
@@ -502,12 +689,12 @@ class SchedulerState:
             rank=self.rank,
             ready=list(self.ready),
             remaining=dict(self.remaining),
-            tails=dict(self.analyzer._tails),
+            tails=dict(self.tails),
             bus_used=bus_used,
             medl_by_id=medl_by_id,
             root_finish=dict(self.root_finish),
             no_recovery_rows=dict(self.no_recovery_rows),
-            builder_state=self.builder.snapshot(),
+            log=list(self.log),
         )
 
     def restore(self, snapshot: SchedulerSnapshot) -> None:
@@ -518,49 +705,57 @@ class SchedulerState:
         """
         self.ready = list(snapshot.ready)
         self.remaining = dict(snapshot.remaining)
-        self.analyzer._tails = dict(snapshot.tails)
+        self.tails = dict(snapshot.tails)
         self.bus_scheduler.restore_bus_state(
             dict(snapshot.bus_used), dict(snapshot.medl_by_id)
         )
         self.root_finish = dict(snapshot.root_finish)
         self.no_recovery_rows = dict(snapshot.no_recovery_rows)
-        self.builder.restore(snapshot.builder_state)
+        self.log = list(snapshot.log)
 
-    # -- sealing ------------------------------------------------------------
+    # -- pricing and sealing -------------------------------------------------
 
     def cost_view(self) -> tuple[float, float]:
         """``(degree_of_schedulability, makespan)`` without sealing a record.
 
-        Candidate pricing needs only these two floats; sealing (completion
-        derivation *plus* tuple freezing and MEDL packing) is deferred to
-        the winner of a neighbourhood.  Bit-parity contract: completions
-        are derived with the same per-group arithmetic as :meth:`seal` and
-        the degree is summed in process-intern order — the order
-        :meth:`repro.schedule.record.ScheduleRecord.degree_of_schedulability`
+        Candidate pricing needs only these two floats; sealing is deferred
+        to the winner of a neighbourhood.  Completions listed in
+        :attr:`clean_completions` are reused; the rest are derived with the
+        same per-group arithmetic as :meth:`seal`.  Bit-parity contract:
+        the degree is summed in process-intern order (first placement) —
+        the order :meth:`repro.schedule.record.ScheduleRecord.degree_of_schedulability`
         sums in — so both floats equal the sealed record's exactly.
         """
-        ft = self.ft
-        if self.rank != len(ft):
+        if len(self.log) != len(self.ft):
             raise SchedulingError(
                 "cost_view on an incomplete schedule "
-                f"({self.rank}/{len(ft)} instances placed)"
+                f"({len(self.log)}/{len(self.ft)} instances placed)"
             )
-        builder = self.builder
-        k = self._k
-        index_of = builder.index_of
-        wcf = builder.wcf
-        instances = ft.instances
-        group_of = ft.group_of
+        statics = self.statics
+        clean = self.clean_completions
+        group_of = self.ft.group_of
         graph_processes = self.graph.processes
+        k = self._k
+        order: list[str] = []
+        seen: set[str] = set()
+        wcf: dict[str, float] = {}
+        for entry in self.log:
+            iid = entry[0]
+            process = statics[iid][6]
+            if process not in seen:
+                seen.add(process)
+                order.append(process)
+            if process not in clean:
+                wcf[iid] = entry[1][-1]
         degree = 0.0
         makespan = 0.0
-        for process in builder._processes:
-            replica_ids = group_of[process]
-            pairs = [
-                (wcf[index_of[iid]], instances[iid].kill_cost)
-                for iid in replica_ids
-            ]
-            completion = guaranteed_completion(pairs, k)
+        for process in order:
+            completion = clean.get(process)
+            if completion is None:
+                completion = guaranteed_completion(
+                    [(wcf[iid], statics[iid][1]) for iid in group_of[process]],
+                    k,
+                )
             if completion > makespan:
                 makespan = completion
             deadline = graph_processes[process].deadline
@@ -571,10 +766,15 @@ class SchedulerState:
         return degree, makespan
 
     def seal(self) -> ScheduleRecord:
-        """Derive completions/groups and freeze the builder into the record."""
+        """Turn the placement log into the immutable record.
+
+        Interns process and node ids in first-placement order, rebuilds the
+        node chains, resolves each binding to record indices and derives
+        the guaranteed completion of every process.
+        """
         get_registry().inc("scheduler.seals")
         ft = self.ft
-        if self.rank != len(ft):
+        if len(self.log) != len(ft):
             unplaced = [
                 iid for iid, count in self.remaining.items() if count > 0
             ]
@@ -582,31 +782,84 @@ class SchedulerState:
                 f"list scheduling left {len(unplaced)} instances unplaced "
                 f"(cycle in the FT graph?): {unplaced[:5]}"
             )
-        builder = self.builder
+        statics = self.statics
         k = self._k
-        index_of = builder.index_of
-        wcf = builder.wcf
-        n_processes = builder.process_count
-        replicas: list[tuple[int, ...]] = [()] * n_processes
-        completions: list[float] = [0.0] * n_processes
-        deadlines: list[float | None] = [None] * n_processes
+        processes: list[str] = []
+        process_index: dict[str, int] = {}
+        nodes: list[str] = []
+        node_index: dict[str, int] = {}
+        chains: list[list[int]] = []
+        index_of: dict[str, int] = {}
+        instance_ids: list[str] = []
+        instance_process: list[int] = []
+        instance_node: list[int] = []
+        root_start: list[float] = []
+        root_finish: list[float] = []
+        wcf: list[float] = []
+        finish_rows: list[tuple[float, ...]] = []
+        bindings: list[tuple[int, int, int]] = []
+        for index, (iid, finish_row, kind, source, budget) in enumerate(
+            self.log
+        ):
+            node, _, _, _, wcet, _, process = statics[iid]
+            process_id = process_index.get(process)
+            if process_id is None:
+                process_id = process_index[process] = len(processes)
+                processes.append(process)
+            node_id = node_index.get(node)
+            if node_id is None:
+                node_id = node_index[node] = len(nodes)
+                nodes.append(node)
+                chains.append([])
+            chain = chains[node_id]
+            if kind == BIND_NODE:
+                binding = (BIND_NODE, chain[-1], budget)
+            elif kind == BIND_INPUT:
+                binding = (BIND_INPUT, index_of[source], budget)
+            else:
+                binding = (BIND_RELEASE, -1, budget)
+            index_of[iid] = index
+            chain.append(index)
+            instance_ids.append(iid)
+            instance_process.append(process_id)
+            instance_node.append(node_id)
+            first = finish_row[0]
+            root_start.append(first - wcet)
+            root_finish.append(first)
+            wcf.append(finish_row[-1])
+            finish_rows.append(finish_row)
+            bindings.append(binding)
+
+        replicas: list[tuple[int, ...]] = [()] * len(processes)
+        completions: list[float] = [0.0] * len(processes)
+        deadlines: list[float | None] = [None] * len(processes)
         graph_processes = self.graph.processes
         for process, replica_ids in ft.group_of.items():
-            process_id = builder.process_id(process)
+            process_id = process_index[process]
             indices = tuple(index_of[iid] for iid in replica_ids)
             replicas[process_id] = indices
             pairs = [
-                (wcf[index], ft.instances[iid].kill_cost)
+                (wcf[index], statics[iid][1])
                 for index, iid in zip(indices, replica_ids)
             ]
             completions[process_id] = guaranteed_completion(pairs, k)
             deadlines[process_id] = graph_processes[process].deadline
-        medl = self.bus_scheduler.medl.packed(builder.node_index)
-        return builder.finish(
+        return ScheduleRecord(
+            processes=tuple(processes),
+            nodes=tuple(nodes),
+            instance_ids=tuple(instance_ids),
+            instance_process=tuple(instance_process),
+            instance_node=tuple(instance_node),
+            root_start=tuple(root_start),
+            root_finish=tuple(root_finish),
+            wcf=tuple(wcf),
+            finish_rows=tuple(finish_rows),
+            bindings=tuple(bindings),
+            node_chains=tuple(tuple(chain) for chain in chains),
             process_replicas=tuple(replicas),
             completions=tuple(completions),
             deadlines=tuple(deadlines),
-            medl=medl,
+            medl=self.bus_scheduler.medl.packed(node_index),
             k=k,
             mu=self.faults.mu,
         )

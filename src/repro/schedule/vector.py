@@ -54,7 +54,7 @@ from repro.schedule.analysis import (
     group_survivor_indices,
     guaranteed_completion,
 )
-from repro.schedule.state import group_release_inputs
+from repro.schedule.state import group_release_inputs, instance_statics
 
 if TYPE_CHECKING:
     from repro.model.policy import Policy
@@ -179,12 +179,13 @@ def release_row_vec(
     """Drop-in parity twin of :func:`repro.schedule.state.release_row`."""
     k = faults.k
     instance = ft.instances[iid]
+    statics = instance_statics(ft.instances, faults.mu)
     rel_row = [instance.release] * (k + 1)
     sources: list[str | None] = [None] * (k + 1)
     for group in ft.inputs_of(iid):
         immune, fast_senders = group_release_inputs(
-            group, instance.node, ft.instances, root_finish,
-            no_recovery_rows, medl_by_id, faults.mu, iid,
+            group, instance.node, statics, root_finish,
+            no_recovery_rows, medl_by_id, iid,
         )
         price_group_into(immune, fast_senders, rel_row, sources, k)
     return rel_row, sources
@@ -399,8 +400,8 @@ class NeighbourhoodPricer:
         for group in ft.inputs_of(representative):
             missing: list = []
             immune, fast_senders = group_release_inputs(
-                group, node, instances, self._root_finish,
-                context.no_recovery_rows, context.medl_by_id, mu, process,
+                group, node, context.statics, self._root_finish,
+                context.no_recovery_rows, context.medl_by_id, process,
                 missing=missing,
             )
             if missing:

@@ -8,8 +8,7 @@ used by the simulated controllers in :mod:`repro.sim.controller`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -32,9 +31,13 @@ PACKED_OFFSET = 5
 PACKED_SIZE = 6
 
 
-@dataclass(frozen=True, slots=True)
-class MessageDescriptor:
-    """Where and when one bus message is broadcast."""
+class MessageDescriptor(NamedTuple):
+    """Where and when one bus message is broadcast.
+
+    An immutable named tuple rather than a frozen dataclass: the list
+    scheduler creates one per packed message, and a frozen dataclass pays
+    an ``object.__setattr__`` call per field on construction.
+    """
 
     bus_message_id: str
     sender_node: str

@@ -74,13 +74,13 @@ class BusScheduler:
                     sender_node
                 ]
                 descriptor = MessageDescriptor(
-                    bus_message_id=bus_message_id,
-                    sender_node=sender_node,
-                    round_index=round_index,
-                    slot_start=slot_start,
-                    slot_end=slot_start + self._lengths[sender_node],
-                    offset_bytes=fill,
-                    size_bytes=size_bytes,
+                    bus_message_id,
+                    sender_node,
+                    round_index,
+                    slot_start,
+                    slot_start + self._lengths[sender_node],
+                    fill,  # offset_bytes
+                    size_bytes,
                 )
                 return self.medl.add(descriptor)
             round_index += 1

@@ -6,7 +6,7 @@ reverted here via monkeypatching to rebuild the historical model:
 * **structure** (``ftgraph._guaranteed_backed``): only *re-executed*
   replicas carried a guaranteed post-WCF frame, so a group of pure
   replicas delivered through fast frames alone;
-* **pricing** (``state.release_row``): each fast frame's invalidation
+* **pricing** (``state.guaranteed_release``): each fast frame's invalidation
   was priced per sender from that sender's own finish row, so the
   adversary paid once *per replica* to delay the group — even though one
   upstream fault delays every replica past its fast slot simultaneously
@@ -50,8 +50,9 @@ def _prefix_backed(ft, group, k):
     return {iid for iid in group if ft.instances[iid].reexecutions > 0}
 
 
-def _prefix_release_row(ft, iid, faults, root_finish, no_recovery_rows,
-                        medl_by_id):
+def _prefix_guaranteed_release(inputs, node, release, statics, k,
+                               root_finish, no_recovery_rows, medl_by_id,
+                               owner):
     """Pre-fix pricing: per-sender frame invalidation, no shared delays.
 
     A fast frame costs the cheaper of an outright kill and the smallest
@@ -59,16 +60,12 @@ def _prefix_release_row(ft, iid, faults, root_finish, no_recovery_rows,
     delays, priced against this sender alone) misses the slot start; the
     guaranteed twin, where present, costs the remaining kills.
     """
-    k = faults.k
-    mu = faults.mu
-    instances = ft.instances
-    instance = instances[iid]
-    rel_row = [instance.release] * (k + 1)
+    rel_row = [release] * (k + 1)
     sources: list[str | None] = [None] * (k + 1)
-    for group in ft.inputs_of(iid):
+    for group in inputs:
         immune, fast_senders = group_release_inputs(
-            group, instance.node, instances, root_finish, no_recovery_rows,
-            medl_by_id, mu, iid,
+            group, node, statics, root_finish, no_recovery_rows,
+            medl_by_id, owner,
         )
         arrivals = list(immune)
         for (slot_start, slot_end, guaranteed_end, row, step, reexec,
@@ -145,7 +142,9 @@ def weak_target(monkeypatch) -> InjectTarget:
     simulator rebuilds matches the record's MEDL (no guaranteed frames).
     """
     monkeypatch.setattr(ftgraph, "_guaranteed_backed", _prefix_backed)
-    monkeypatch.setattr(state, "release_row", _prefix_release_row)
+    monkeypatch.setattr(
+        state, "guaranteed_release", _prefix_guaranteed_release
+    )
     return _chain_target()
 
 

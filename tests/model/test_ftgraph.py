@@ -1,14 +1,19 @@
 """Unit tests for the FT-extended execution graph."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ModelError
+from repro.gen.suite import generate_case
 from repro.model.application import Application, Process, ProcessGraph
 from repro.model.fault import FaultModel
-from repro.model.ftgraph import build_ft_graph, instance_id
+from repro.model.ftgraph import build_ft_graph, ft_graph_with_move, instance_id
 from repro.model.mapping import ReplicaMapping
 from repro.model.merge import merge_application
 from repro.model.policy import Policy, PolicyAssignment
+from repro.opt.initial import initial_bus_access, initial_mpa
+from repro.opt.moves import generate_moves
 
 
 def _merged_chain():
@@ -164,3 +169,62 @@ def test_unknown_instance_raises():
         ft.instance("nope:r0")
     with pytest.raises(ModelError):
         ft.replicas("nope")
+
+
+def _structure(ft):
+    """Every field of an FT graph, with containers compared by value.
+
+    A sender's frame list is ordered (the scheduler packs it in order);
+    the id -> frame map and the adjacency lists are not (readiness counts
+    and a total heap order make their order irrelevant).
+    """
+    return (
+        ft.instances,
+        ft.group_of,
+        {iid: tuple(ft.inputs_of(iid)) for iid in ft.instances},
+        ft.bus_messages,
+        {iid: ft.outgoing_bus_messages(iid) for iid in ft},
+        {iid: sorted(succs) for iid, succs in ft._succ.items()},
+        {iid: sorted(preds) for iid, preds in ft._pred.items()},
+        ft._edges,
+    )
+
+
+@given(
+    n=st.integers(6, 12),
+    nodes=st.integers(2, 3),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 7),
+    replicated=st.booleans(),
+)
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_move_overlay_equals_a_full_rebuild(n, nodes, k, seed, replicated):
+    """``ft_graph_with_move`` builds what ``build_ft_graph`` builds, for
+    every move of the search neighbourhood: remaps (same replica count)
+    and policy moves (the count changes)."""
+    case = generate_case(n, nodes, k, mu=5.0, seed=seed)
+    merged = merge_application(case.application)
+    bus = initial_bus_access(case.application, case.architecture)
+    impl = initial_mpa(
+        merged, case.architecture, case.faults, bus,
+        k + 1 if replicated else 1,
+    )
+    base = build_ft_graph(merged, impl.policies, impl.mapping, case.faults)
+    moves = generate_moves(
+        merged, case.faults, impl, list(merged.processes), (1, 2, k + 1)
+    )
+    assert moves
+    for move in moves:
+        moved = move.apply(impl)
+        overlay = ft_graph_with_move(
+            base, merged, moved.policies, moved.mapping, case.faults,
+            move.process,
+        )
+        rebuilt = build_ft_graph(
+            merged, moved.policies, moved.mapping, case.faults
+        )
+        assert _structure(overlay) == _structure(rebuilt)

@@ -12,13 +12,16 @@ The consolidated surface (see the module docstring of
   candidate identically, and realized records are byte-equal;
 * the ranking tier (``rank_neighbourhood``) prices estimate-only
   candidates as ``ranked_evaluations``; its shortlist re-pricings are
-  ordinary delta evaluations, and estimates are never cached.
+  ordinary delta evaluations, and estimates are never cached;
+* ``publish_metrics`` sums the replay work of every delta pricing into
+  the ``evaluator.delta.*`` counters.
 """
 
 from __future__ import annotations
 
 from repro.gen.suite import generate_case
 from repro.model.merge import merge_application
+from repro.obs.metrics import MetricsRegistry
 from repro.opt.evaluator import Evaluator
 from repro.opt.initial import initial_bus_access, initial_mpa
 from repro.opt.moves import generate_moves
@@ -229,3 +232,29 @@ class TestCacheOffBehaviour:
         assert evaluator.delta_evaluations == 2 * len(moves)
         info = evaluator.cache_info()
         assert info.size == 0 and info.bound == 0
+
+
+class TestDeltaTelemetry:
+    def test_published_replay_work_sums_every_delta_pricing(self):
+        merged, faults, impl = _setup()
+        evaluator = Evaluator(merged, faults)
+        moves = _neighbourhood(merged, faults, impl, evaluator)
+        context = evaluator.context_for(impl)
+        expected = {"copied": 0, "recomputed": 0, "resumed_rank": 0}
+        for move in moves:
+            candidate = move.apply(impl)
+            _, stats = context.delta_schedule(
+                candidate.policies, candidate.mapping, move.process
+            )
+            expected["copied"] += stats.copied
+            expected["recomputed"] += stats.recomputed
+            expected["resumed_rank"] += stats.resumed_rank
+        evaluator.evaluate_many(impl, moves)
+        registry = MetricsRegistry()
+        evaluator.publish_metrics(registry)
+        for name, value in expected.items():
+            assert registry.value(f"evaluator.delta.{name}") == value
+        assert expected["recomputed"] > 0
+        # Publishing again adds nothing: the counters publish deltas.
+        evaluator.publish_metrics(registry)
+        assert registry.value("evaluator.delta.copied") == expected["copied"]

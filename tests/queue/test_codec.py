@@ -1,5 +1,6 @@
 """JSON wire-format tests: byte-identical round-trips, validated decodes."""
 
+import dataclasses
 import json
 
 import pytest
@@ -10,6 +11,8 @@ from repro.experiments.runner import VariantRun
 from repro.gen.suite import generate_case
 from repro.io.queue_codec import (
     canonical_json,
+    config_from_dict,
+    config_to_dict,
     case_job_from_dict,
     case_job_to_dict,
     decode_job,
@@ -24,6 +27,7 @@ from repro.model.ftgraph import build_ft_graph
 from repro.opt.strategy import OptimizationConfig, optimize
 from repro.schedule.record import ScheduleRecord
 from repro.sim.validate import validate_record
+from repro.ttp.bus import BusConfig
 
 TINY = OptimizationConfig(
     minimize=True, rounds=1, greedy_max_iterations=3, tabu_max_iterations=2
@@ -82,6 +86,47 @@ class TestCaseJobRoundTrip:
         data["version"] = 99
         with pytest.raises(QueueError):
             case_job_from_dict(data)
+
+
+#: One non-default value per :class:`OptimizationConfig` field.  A field
+#: added to the config without an entry here fails the round-trip test.
+NON_DEFAULT_CONFIG_VALUES = {
+    "greedy_max_iterations": 7,
+    "tabu_max_iterations": 3,
+    "tabu_tenure": None,
+    "rounds": 2,
+    "time_limit_s": 2.5,
+    "ms_per_byte": 0.5,
+    "bus": BusConfig(("N1", "N2"), {"N1": 4.0, "N2": 6.0}, ms_per_byte=0.5),
+    "minimize": True,
+    "optimize_bus": True,
+    "bus_scale_factors": (0.5, 2.0),
+    "cache_size": 64,
+    "shortlist": 8,
+}
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(OptimizationConfig)]
+    )
+    def test_every_config_field_survives_the_wire(self, name):
+        assert name in NON_DEFAULT_CONFIG_VALUES, (
+            f"OptimizationConfig.{name} has no non-default test value"
+        )
+        value = NON_DEFAULT_CONFIG_VALUES[name]
+        assert value != getattr(OptimizationConfig(), name)
+        config = OptimizationConfig(**{name: value})
+        text = canonical_json(config_to_dict(config))
+        decoded = config_from_dict(json.loads(text))
+        assert getattr(decoded, name) == value
+        assert decoded == config
+        assert canonical_json(config_to_dict(decoded)) == text
+
+    def test_payload_without_shortlist_decodes_all_exact(self):
+        data = config_to_dict(OptimizationConfig(shortlist=8))
+        del data["shortlist"]
+        assert config_from_dict(data).shortlist is None
 
 
 class TestRecordRoundTrip:
