@@ -14,6 +14,7 @@ Scale knobs (environment variables):
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import subprocess
@@ -40,6 +41,18 @@ def seeds() -> tuple[int, ...]:
 @pytest.fixture
 def time_scale() -> float:
     return bench_time_scale()
+
+
+#: Where the benchmarks write their fresh ``BENCH_*.json`` records.  The
+#: committed baselines at the repository root change only by an explicit
+#: record step (``cp bench-out/BENCH_*.json .``, see EXPERIMENTS.md).
+BENCH_OUT = Path(__file__).resolve().parents[1] / "bench-out"
+
+
+def write_bench_record(filename: str, record: dict) -> None:
+    """Write one fresh benchmark record under :data:`BENCH_OUT`."""
+    BENCH_OUT.mkdir(exist_ok=True)
+    (BENCH_OUT / filename).write_text(json.dumps(record, indent=2) + "\n")
 
 
 def bench_stamp() -> dict:

@@ -3,7 +3,7 @@
 Runs the 20-process MXR strategy (the paper's smallest Table 1 row) with
 the evaluation cache bounded at 64 / 256 / 1024 / 4096 entries and records
 hit rate and evaluation requests per second for each size into
-``BENCH_cache.json`` at the repository root.
+``bench-out/BENCH_cache.json``.
 
 Context: with PR 1's object-graph caching, 256 entries was the measured
 optimum — every retained ``SystemSchedule`` was a cyclic-GC-tracked object
@@ -17,17 +17,13 @@ current ``DEFAULT_CACHE_SIZE`` (see DESIGN.md).
 from __future__ import annotations
 
 import gc
-import json
 import time
-from pathlib import Path
 
 from repro.gen.suite import generate_case
 from repro.opt.evaluator import DEFAULT_CACHE_SIZE
 from repro.opt.strategy import OptimizationConfig, optimize
 
-from benchmarks.conftest import bench_stamp
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_cache.json"
+from benchmarks.conftest import bench_stamp, write_bench_record
 
 CACHE_SIZES = (64, 256, 1024, 4096)
 
@@ -94,7 +90,7 @@ def test_cache_scaling_records_bench_json():
         },
         "sizes": rows,
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench_record("BENCH_cache.json", record)
 
     # Identical deterministic searches: every size visits the same points.
     assert len({row["makespan"] for row in rows}) == 1

@@ -1,4 +1,4 @@
-"""Fault-injection throughput benchmark -> ``BENCH_inject.json``.
+"""Fault-injection throughput benchmark -> ``bench-out/BENCH_inject.json``.
 
 Three measurements on one deterministic initial-MPA target whose <=k
 fault space (46k scenarios at 30 processes, k=4) exceeds the sweep
@@ -25,9 +25,7 @@ scenario accounted for).
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.gen.suite import generate_case
 from repro.inject.driver import run_inject_sweep
@@ -41,9 +39,7 @@ from repro.opt.initial import initial_bus_access, initial_mpa
 from repro.queue.sqlite import SqliteBroker
 from repro.schedule.list_scheduler import list_schedule
 
-from benchmarks.conftest import bench_stamp
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_inject.json"
+from benchmarks.conftest import bench_stamp, write_bench_record
 
 _PROCESSES, _NODES, _K, _SEED = 30, 3, 4, 1
 _BUDGET = 30_000
@@ -159,7 +155,7 @@ def test_inject_throughput_records_bench_json(tmp_path):
             ),
         },
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench_record("BENCH_inject.json", record)
 
     assert record["inject"]["ok"] is True
     assert record["inject"]["scenarios_per_sec"] > 0

@@ -1,6 +1,6 @@
 """Queue-overhead benchmark: what does broker plumbing cost per job?
 
-Two measurements, recorded to ``BENCH_queue.json`` at the repository root
+Two measurements, recorded to ``bench-out/BENCH_queue.json``
 (uploaded by CI next to the other BENCH artifacts):
 
 * **broker micro-ops** — enqueue / lease+ack throughput of both backends
@@ -19,16 +19,13 @@ from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 from repro.experiments.parallel import run_case_jobs, sweep_jobs
 from repro.opt.strategy import OptimizationConfig
 from repro.queue.memory import MemoryBroker
 from repro.queue.sqlite import SqliteBroker
 
-from benchmarks.conftest import bench_stamp
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_queue.json"
+from benchmarks.conftest import bench_stamp, write_bench_record
 
 #: Synthetic payload roughly the size of an encoded CaseJob.
 _PAYLOAD = json.dumps({"n_processes": 40, "variants": ["NFT", "MXR"]} | {
@@ -110,7 +107,7 @@ def test_queue_overhead_records_bench_json(tmp_path):
             ),
         },
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench_record("BENCH_queue.json", record)
 
     for backend in record["brokers"].values():
         assert backend["enqueue_per_sec"] > 0

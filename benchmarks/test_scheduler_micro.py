@@ -5,7 +5,7 @@ tabu-search iteration evaluates dozens of candidate implementations, each a
 full list-scheduling + worst-case-analysis pass.
 
 ``test_pipeline_throughput_records_bench_json`` additionally writes
-``BENCH_scheduler.json`` at the repository root so the performance
+``bench-out/BENCH_scheduler.json`` so the performance
 trajectory of the evaluation pipeline is tracked from PR to PR (see
 EXPERIMENTS.md).
 """
@@ -13,9 +13,7 @@ EXPERIMENTS.md).
 from __future__ import annotations
 
 import gc
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -25,8 +23,6 @@ from repro.opt.evaluator import Evaluator
 from repro.opt.initial import initial_bus_access, initial_mpa
 from repro.sim.engine import SystemSimulator
 from repro.sim.faults import FAULT_FREE
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_scheduler.json"
 
 
 def _setup(n, nodes, k):
@@ -109,7 +105,7 @@ def test_pipeline_throughput_records_bench_json():
       under an absolute ceiling, so span writes creeping into a hot loop
       fail CI instead of silently taxing every traced sweep.
     """
-    from benchmarks.conftest import bench_stamp
+    from benchmarks.conftest import bench_stamp, write_bench_record
     from repro.opt.moves import generate_moves
     from repro.opt.strategy import OptimizationConfig, optimize
 
@@ -240,7 +236,7 @@ def test_pipeline_throughput_records_bench_json():
             "traced_s": round(traced_s, 3),
         },
     }
-    BENCH_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_bench_record("BENCH_scheduler.json", record)
 
     assert record["evaluations_per_sec"] > 0
     assert record["delta"]["speedup_vs_cold"] > 1.0

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Fail CI when the evaluation or injection pipeline gets materially slower.
 
-Compares freshly measured ``BENCH_*.json`` records against the baselines
-committed at ``HEAD`` and exits non-zero when any gated metric dropped by
-more than the allowed fraction (default 30% — generous enough that
+Compares freshly measured ``bench-out/BENCH_*.json`` records against the
+baselines committed at ``HEAD`` and exits non-zero when any gated metric
+dropped by more than the allowed fraction (default 30% — generous enough that
 shared-runner noise never trips it, tight enough that an accidental O(n)
 regression in the delta kernel, the scheduler inner loop, or the
 scenario simulator does).
@@ -37,15 +37,16 @@ committed baseline:
       metric bookkeeping creeping into a per-evaluation hot loop (the
       intended instrumentation granularity is per phase/pass).
 
-Usage (CI runs it right after the smoke benchmarks regenerate the
-files)::
+Usage (CI runs it right after the smoke benchmarks write fresh records
+into ``bench-out/``)::
 
     python scripts/check_bench_regression.py [--root .]
         [--allowed-drop 0.30]
 
-Baselines are read from ``git show HEAD:<file>`` so the working-tree
-files can be the fresh measurements.  The gate is advisory
-infrastructure, not physics: runs labelled ``perf-regression-expected``
+Baselines are read from ``git show HEAD:<file>`` (the committed records at
+the repository root); the benchmarks never touch those, so running them
+leaves the working tree clean.  The gate is advisory infrastructure, not
+physics: runs labelled ``perf-regression-expected``
 skip the CI step entirely (see .github/workflows/ci.yml), a missing
 baseline (first run, shallow clone without the file) passes with a
 notice, and a metric or file absent from the committed baseline passes
@@ -59,6 +60,9 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+#: Directory, under ``--root``, the benchmarks write fresh records into.
+FRESH_DIR = "bench-out"
 
 #: Per benchmark record, the dotted paths checked against the baseline.
 GATED = (
@@ -124,7 +128,7 @@ def check_file(
 ) -> list[str]:
     """Gate one record; returns the metrics that regressed."""
     baseline = baseline_record(root, filename)
-    current_path = root / filename
+    current_path = root / FRESH_DIR / filename
     if not current_path.exists():
         if baseline is None:
             print(f"perf gate: no fresh or committed {filename} — skipping")
@@ -182,7 +186,7 @@ def check_ceilings(
     root: Path, filename: str, bounds: tuple[tuple[str, float], ...]
 ) -> list[str]:
     """Gate absolute ceilings of one record; returns breached metrics."""
-    current_path = root / filename
+    current_path = root / FRESH_DIR / filename
     if not current_path.exists():
         # The relative gate already decides whether a missing file is a
         # regression; ceilings only judge fresh measurements.
@@ -221,8 +225,8 @@ def main(argv: list[str] | None = None) -> int:
         "--root",
         type=Path,
         default=Path("."),
-        help="directory holding the fresh BENCH_*.json records "
-        "(default: current directory; must be inside the repository)",
+        help="repository root; fresh BENCH_*.json records are read from "
+        f"its {FRESH_DIR}/ directory (default: current directory)",
     )
     parser.add_argument(
         "--allowed-drop",
@@ -246,8 +250,8 @@ def main(argv: list[str] | None = None) -> int:
             f"(more than {args.allowed_drop:.0%} slower, or over an "
             f"absolute ceiling) on: {', '.join(failures)}.\n"
             "If the slowdown is intended (heavier analysis, measurement "
-            "environment change), either regenerate the committed "
-            "BENCH_*.json on the PR or apply the "
+            "environment change), either record the fresh baselines on "
+            f"the PR (cp {FRESH_DIR}/BENCH_*.json .) or apply the "
             "'perf-regression-expected' label to skip this gate."
         )
         return 1

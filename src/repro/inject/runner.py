@@ -1,12 +1,13 @@
 """Shard execution: materialize, simulate, classify, summarize.
 
 A shard never travels with scenarios — only coordinates.  The runner
-re-materializes them locally (rank/unrank for range shards, seeded RNG
-for stratified draws, the deterministic importance list for wave 0) and
-replays them through the target's cached **batched** simulator: blocks
-of ``batch_size`` scenarios become int count matrices
-(:meth:`~repro.inject.space.ScenarioSpace.counts_range` /
-``sample_counts`` / ``counts_matrix``), one
+re-materializes them locally (index ranges for exhaustive shards, seeded
+RNG draws for stratified ones, the deterministic importance list for
+wave 0) and replays them through the target's cached **batched**
+simulator: blocks of ``batch_size`` scenarios become int count matrices
+— :meth:`~repro.inject.space.ScenarioSpace.counts_range` and
+``sample_counts`` unrank a whole block in one column-parallel pass,
+``counts_matrix`` packs the explicit importance list — one
 :meth:`~repro.sim.batch.BatchSimulator.run_batch` call replays every
 column at once, and :class:`~repro.sim.validate.BatchChecker` reduces
 the block to per-kind violation masks.  Only *violating* columns are

@@ -12,10 +12,13 @@ that space *random access*:
 * within a stratum, scenarios are ordered lexicographically by their
   count vector (the same order the recursive enumerator yields), and a
   rank/unrank bijection maps ``[0, size_t)`` onto them;
-* any contiguous index range of a stratum can be materialized without
-  touching the rest of the space (unrank the first index, then step a
-  bounded-composition successor), which is what makes disjoint shards
-  independently executable on any worker.
+* any set of indices of a stratum — a contiguous shard range or a block
+  of random draws — is materialized without touching the rest of the
+  space, which is what makes disjoint shards independently executable on
+  any worker.  One column-parallel kernel unranks a whole block at once
+  against a threshold table of cumulative suffix counts (built on first
+  use); ``unrank``, ``iter_range``, ``counts_range`` and ``sample_counts``
+  are thin views of it, and the scalar ``rank`` is its independent inverse.
 
 Everything here is a pure function of the sorted ``(instance id,
 capacity)`` list, so two processes that agree on the FT graph agree on
@@ -24,6 +27,7 @@ every index — the foundation of the partitioner's determinism contract.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -95,30 +99,90 @@ class ScenarioSpace:
         """Number of scenarios with at most ``k`` total faults."""
         return sum(self._suffix[0][t] for t in range(self.k + 1))
 
+    # -- column-parallel unrank ---------------------------------------------
+
+    @functools.cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(first, T)``, the unrank kernel's threshold tables.
+
+        ``T[i, g, r] = Σ_{f<=min(g, cap_i)} suffix[i+1][r-f]``: of the lex
+        ordered vectors of instances ``i..n-1`` spending ``r`` faults, the
+        first ``T[i, g, r]`` put at most ``g`` on ``i``.  The last ``g`` is
+        the sentinel ``suffix[i][r]``, which no in-range index reaches.
+        ``first[r, i] = T[i, 0, r]``, transposed for row gathers.  int64
+        when every stratum fits, else Python ints (``dtype=object``), one
+        kernel for both.  Built lazily: :meth:`of` runs in every set-up.
+        """
+        n, k = len(self.caps), self.k
+        dtype = np.int64 if max(self._suffix[0]) < 2**63 else object
+        nxt = np.array(self._suffix[1:], dtype=dtype).reshape(n, k + 1)
+        caps = np.array(self.caps, dtype=np.int64)
+        width = max(self.caps, default=0)
+        table = np.empty((n, width + 1, k + 1), dtype=dtype)
+        table[:, 0] = nxt
+        for g in range(1, width + 1):
+            step = np.zeros_like(nxt)
+            step[:, g:] = nxt[:, :k + 1 - g]
+            step[caps < g] = 0
+            table[:, g] = table[:, g - 1] + step
+        return np.ascontiguousarray(nxt.T), table
+
+    def _indices(self, t: int, indices) -> np.ndarray:
+        """``indices`` as a vector in the tables' dtype, bounds-checked."""
+        size = self.stratum_size(t)
+        try:
+            m = np.array(indices, dtype=self._tables[1].dtype)
+        except OverflowError:  # beyond int64, so out of range below
+            m = np.array(indices, dtype=object)
+        bad = np.flatnonzero((m < 0) | (m >= size))
+        if bad.size:
+            raise SimulationError(
+                f"index {m[bad[0]]} outside stratum {t} (size {size})"
+            )
+        return m
+
+    def _counts_at(self, t: int, indices: np.ndarray) -> np.ndarray:
+        """Stratum-``t`` vectors of in-range ``indices``, one per column.
+
+        Per column, ``m`` is the remaining index and ``r`` the remaining
+        faults.  ``first[r, i]`` never grows with ``i``, so the positions
+        with ``first[r, i] > m`` (no fault) are a prefix, and the first
+        ``first[r, p] <= m`` is the next faulted position ``p``: it takes
+        as many faults as it has thresholds ``T[p, g, r] <= m``.  A round
+        places at least one fault, so ``t`` rounds unrank a whole block.
+        """
+        first, table = self._tables
+        m = indices.copy()
+        r = np.full(m.shape, t, dtype=np.int64)
+        out = np.zeros((len(self.caps), m.size), dtype=np.int64)
+        for _ in range(t):
+            live = np.flatnonzero(r)
+            if not live.size:
+                break
+            m_live, r_live = m[live], r[live]
+            p = (first[r_live] <= m_live[:, None]).argmax(axis=1)
+            rows = table[p, :, r_live]
+            f = (rows <= m_live[:, None]).sum(axis=1)
+            m[live] = m_live - rows[np.arange(live.size), f - 1]
+            r[live] = r_live - f
+            out[p, live] = f
+        return out
+
+    def _span(self, t: int, lo: int, hi: int) -> np.ndarray:
+        """``lo..hi`` as a vector in the tables' dtype, bounds-checked."""
+        size = self.stratum_size(t)
+        if not 0 <= lo <= hi <= size:
+            raise SimulationError(
+                f"range [{lo}, {hi}) outside stratum {t} (size {size})"
+            )
+        return np.arange(lo, hi, dtype=self._tables[1].dtype)
+
     # -- rank/unrank -------------------------------------------------------
 
     def unrank(self, t: int, index: int) -> tuple[int, ...]:
         """The ``index``-th count vector of stratum ``t`` (lex order)."""
-        size = self.stratum_size(t)
-        if not 0 <= index < size:
-            raise SimulationError(
-                f"index {index} outside stratum {t} (size {size})"
-            )
-        suffix = self._suffix
-        counts = []
-        remaining = t
-        m = index
-        for i, cap in enumerate(self.caps):
-            for f in range(min(cap, remaining) + 1):
-                ways = suffix[i + 1][remaining - f]
-                if m < ways:
-                    counts.append(f)
-                    remaining -= f
-                    break
-                m -= ways
-            else:  # pragma: no cover - excluded by the bounds check above
-                raise SimulationError("unrank fell off the capacity lattice")
-        return tuple(counts)
+        column = self._counts_at(t, self._indices(t, [index]))[:, 0]
+        return tuple(column.tolist())
 
     def rank(self, counts: Sequence[int]) -> tuple[int, int]:
         """Inverse of :meth:`unrank`: ``(stratum, index)`` of a vector."""
@@ -148,92 +212,28 @@ class ScenarioSpace:
     # -- range materialization --------------------------------------------
 
     def iter_range(self, t: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-        """Count vectors ``lo <= index < hi`` of stratum ``t``, in order.
-
-        The first vector is unranked; the rest follow by the successor
-        step, so a shard of ``m`` scenarios costs ``O(n·k + m·n)`` rather
-        than ``m`` full unrankings.
-        """
-        size = self.stratum_size(t)
-        if not 0 <= lo <= hi <= size:
-            raise SimulationError(
-                f"range [{lo}, {hi}) outside stratum {t} (size {size})"
-            )
-        if lo == hi:
-            return
-        counts = list(self.unrank(t, lo))
-        yield tuple(counts)
-        for _ in range(hi - lo - 1):
-            self._advance(counts)
-            yield tuple(counts)
-
-    def _advance(self, counts: list[int]) -> None:
-        """In-place lexicographic successor within the same stratum.
-
-        Scanning right to left, move one unit of the tail budget onto the
-        first position that can absorb it, then re-spread the remaining
-        tail as far right as it fits (the lex-smallest completion).
-        """
-        caps = self.caps
-        n = len(counts)
-        tail = 0  # faults at positions > i
-        for i in range(n - 1, -1, -1):
-            if i < n - 1:
-                tail += counts[i + 1]
-            if tail >= 1 and counts[i] < caps[i]:
-                # The remaining tail-1 always fits to the right of i:
-                # tail-1 < tail <= capacity of positions > i (the current
-                # vector is valid).  Re-spread it right-packed.
-                counts[i] += 1
-                rest = tail - 1
-                for j in range(n - 1, i, -1):
-                    take = min(caps[j], rest)
-                    counts[j] = take
-                    rest -= take
-                if rest:  # pragma: no cover - tail-1 < tail_cap always fits
-                    raise SimulationError("successor overflow (internal)")
-                return
-        raise SimulationError("advanced past the end of the stratum")
-
-    # -- array-native materialization ---------------------------------------
+        """Count vectors ``lo <= index < hi`` of stratum ``t``, in order:
+        the columns of :meth:`counts_range`, as tuples (computed without
+        calling it, so a profile of that name counts only matrix work)."""
+        counts = self._counts_at(t, self._span(t, lo, hi))
+        return map(tuple, counts.T.tolist())
 
     def counts_range(self, t: int, lo: int, hi: int) -> np.ndarray:
         """Stratum-``t`` count vectors ``lo..hi`` as an ``(n, hi-lo)`` matrix.
 
-        Column ``j`` is the vector at index ``lo + j`` — the same order
-        :meth:`iter_range` yields, produced by the same unrank-then-step
-        walk, but written straight into an int64 matrix so the batched
-        simulator's hot path allocates no per-scenario tuples or
-        :class:`FaultScenario` objects.
+        Column ``j`` is the vector at index ``lo + j``, written straight
+        into an int64 matrix so the batched simulator's hot path allocates
+        no per-scenario tuples or :class:`FaultScenario` objects.
         """
-        size = self.stratum_size(t)
-        if not 0 <= lo <= hi <= size:
-            raise SimulationError(
-                f"range [{lo}, {hi}) outside stratum {t} (size {size})"
-            )
-        # Built transposed — row writes from the successor walk are
-        # contiguous — and returned as a view; run_batch's alignment
-        # gather re-copies into layout order anyway.
-        out = np.empty((hi - lo, len(self.caps)), dtype=np.int64)
-        if lo == hi:
-            return out.T
-        counts = list(self.unrank(t, lo))
-        out[0] = counts
-        for j in range(1, hi - lo):
-            self._advance(counts)
-            out[j] = counts
-        return out.T
+        return self._counts_at(t, self._span(t, lo, hi))
 
     def sample_counts(self, t: int, indices: Sequence[int]) -> np.ndarray:
         """Arbitrary stratum-``t`` indices as an ``(n, len(indices))`` matrix.
 
-        The stratified tier's draws are not contiguous, so each column is
-        a full unranking; column ``j`` is ``unrank(t, indices[j])``.
+        The stratified tier's draws are not contiguous; column ``j`` is
+        ``unrank(t, indices[j])``.
         """
-        out = np.empty((len(indices), len(self.caps)), dtype=np.int64)
-        for j, index in enumerate(indices):
-            out[j] = self.unrank(t, index)
-        return out.T
+        return self._counts_at(t, self._indices(t, indices))
 
     def counts_matrix(self, scenarios: Sequence[FaultScenario]) -> np.ndarray:
         """Explicit scenarios (e.g. the importance list) as a count matrix."""
